@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+RHS_BATCH = 512     # right-hand sides per multi-RHS solve, bounding its memory
+
 
 @dataclass(frozen=True)
 class EtaMoments:

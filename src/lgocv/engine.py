@@ -1,24 +1,32 @@
 """Leave-group-out predictive densities without refitting.
 
-Per observation and per theta grid point: the group's likelihood
-contribution is algebraically removed from the posterior moments of
-eta_I (a precision downdate, with an eigendecomposition path for
-rank-deficient covariances), the one-dimensional predictive integral is
-evaluated by adaptive Gauss-Hermite quadrature, and the theta weights are
-reweighted by a Laplace approximation of pi(y_I | theta, y_-I).
+Per theta grid point, from the factorization kept on its GaussianApprox:
+the test observations' groups are deduplicated, and one multi-RHS solve
+per chunk of distinct groups (member union of at most ``RHS_BATCH``
+columns) gives the posterior moments of eta over the union, from which
+each group's moments are a sub-block.  Once per distinct group, the
+group's likelihood contribution is algebraically removed from the moments
+of eta_I (a precision downdate, with an eigendecomposition path for
+rank-deficient covariances) and the theta weight is corrected by a Laplace
+approximation of pi(y_I | theta, y_-I).  One batched adaptive
+Gauss-Hermite call then evaluates every test observation's
+one-dimensional predictive integral.  Theta points are independent, which
+is what ``threads`` runs in parallel.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from numpy.polynomial.hermite import hermgauss
 
-from .covariance import eta_covariance
+from .covariance import RHS_BATCH, EtaMoments, eta_covariance
 from .approx import find_mode
 
 log = logging.getLogger(__name__)
@@ -26,6 +34,7 @@ log = logging.getLogger(__name__)
 DEFAULT_GH_ORDER = 15
 RANK_TOL = 1e-10          # relative eigenvalue cutoff for the singular path
 NEG_PREC_TOL = 1e-8       # relative tolerance on leave-out precision eigenvalues
+DEGENERATE_VARIANCE = "degenerate leave-out variance for quadrature"
 
 
 class DowndateError(RuntimeError):
@@ -135,34 +144,49 @@ def theta_correction(lgm, em, ga, I=None):
     return val
 
 
-def _integrand_mode(model, theta, idx, mean, var, tol=1e-10, max_iter=60):
-    """Mode and curvature scale of pi(y_i|eta) N(eta; mean, var).
+@functools.lru_cache(maxsize=None)
+def _gauss_hermite(order):
+    """Gauss-Hermite nodes and weights, computed once per order."""
+    nodes, wts = hermgauss(order)
+    nodes.setflags(write=False)
+    wts.setflags(write=False)
+    return nodes, wts
 
-    The integrand is strictly log-concave (log-concave likelihood plus a
-    Gaussian), so a safeguarded 1-D Newton always converges.
+
+def _integrand_modes(fam, y, hyper, mean, var, tol=1e-10, max_iter=60):
+    """Modes and curvature scales of pi(y_i|eta) N(eta; mean_i, var_i).
+
+    Each integrand is strictly log-concave (log-concave likelihood plus a
+    Gaussian), so a safeguarded 1-D Newton always converges.  The Newton
+    runs on all entries at once; an entry stops moving once it has
+    converged, and its line search stops once it accepts a step, so every
+    entry follows the iterates of a Newton run on it alone.
     """
-    eta = float(mean)
-    g, g1, g2 = model.loglik_obs_derivatives(theta, idx, np.array([eta]))
-    val = float(g[0]) - 0.5 * (eta - mean) ** 2 / var
+    eta = mean.copy()
+    g, g1, g2 = fam.derivatives(y, eta, hyper)
+    val = g - 0.5 * (eta - mean) ** 2 / var
+    active = np.ones(eta.size, dtype=bool)
     for _ in range(max_iter):
-        grad = float(g1[0]) - (eta - mean) / var
-        hess = float(g2[0]) - 1.0 / var
-        step = -grad / hess
-        alpha = 1.0
+        step = -(g1 - (eta - mean) / var) / (g2 - 1.0 / var)
+        eta_new, val_new = eta.copy(), val.copy()
+        alpha = np.ones(eta.size)
+        search = active.copy()
         for _ in range(40):
-            eta_new = eta + alpha * step
-            g, g1, g2 = model.loglik_obs_derivatives(theta, idx,
-                                                     np.array([eta_new]))
-            val_new = float(g[0]) - 0.5 * (eta_new - mean) ** 2 / var
-            if np.isfinite(val_new) and val_new >= val - 1e-13 * max(1.0, abs(val)):
+            eta_new[search] = eta[search] + alpha[search] * step[search]
+            t, t1, t2 = fam.derivatives(y, eta_new, hyper)
+            vt = t - 0.5 * (eta_new - mean) ** 2 / var
+            g[search], g1[search], g2[search] = t[search], t1[search], t2[search]
+            val_new[search] = vt[search]
+            search &= ~(np.isfinite(vt)
+                        & (vt >= val - 1e-13 * np.maximum(1.0, np.abs(val))))
+            if not search.any():
                 break
-            alpha *= 0.5
-        done = abs(eta_new - eta) <= tol * (1.0 + abs(eta))
+            alpha[search] *= 0.5
+        active &= ~(np.abs(eta_new - eta) <= tol * (1.0 + np.abs(eta)))
         eta, val = eta_new, val_new
-        if done:
+        if not active.any():
             break
-    hess = float(g2[0]) - 1.0 / var
-    return eta, np.sqrt(-1.0 / hess)
+    return eta, np.sqrt(-1.0 / (g2 - 1.0 / var))
 
 
 def gh_log_predictive(model, theta, idx, mean, var, order=DEFAULT_GH_ORDER):
@@ -171,18 +195,28 @@ def gh_log_predictive(model, theta, idx, mean, var, order=DEFAULT_GH_ORDER):
     Adaptive Gauss-Hermite: nodes are centered at the mode of the integrand
     and scaled by its curvature there, which makes the rule exact when the
     likelihood is Gaussian however narrow it is relative to N(mean, var).
+    Scalar ``idx``, ``mean`` and ``var`` give a float; arrays of equal
+    length give one value per entry, from one batched Newton.
     """
-    if var <= 0:
-        raise DowndateError("degenerate leave-out variance for quadrature")
-    eta_hat, scale = _integrand_mode(model, theta, idx, mean, var)
-    nodes, wts = hermgauss(order)
-    eta = eta_hat + np.sqrt(2.0) * scale * nodes
-    logf = (model.loglik_obs(theta, idx, eta)
-            - 0.5 * (eta - mean) ** 2 / var + nodes ** 2)
-    mx = logf.max()
-    log_sum = mx + np.log(np.dot(wts, np.exp(logf - mx)))
-    return float(log_sum + 0.5 * np.log(2.0 * scale ** 2)
-                 - 0.5 * np.log(2.0 * np.pi * var))
+    scalar = np.ndim(idx) == 0
+    idx = np.atleast_1d(np.asarray(idx, dtype=int))
+    mean = np.atleast_1d(np.asarray(mean, dtype=float))
+    var = np.atleast_1d(np.asarray(var, dtype=float))
+    if np.any(var <= 0):
+        raise DowndateError(DEGENERATE_VARIANCE)
+    hyper = model.hyper_dict(getattr(theta, "values", theta))
+    fam = model.subset_likelihood(idx)
+    y = model.y[idx]
+    eta_hat, scale = _integrand_modes(fam, y, hyper, mean, var)
+    nodes, wts = _gauss_hermite(order)
+    eta = eta_hat + np.sqrt(2.0) * scale * nodes[:, None]     # (order, n)
+    logf = (np.array([fam.log_density(y, e, hyper) for e in eta])
+            - 0.5 * (eta - mean) ** 2 / var + (nodes ** 2)[:, None])
+    mx = logf.max(axis=0)
+    log_sum = mx + np.log(wts @ np.exp(logf - mx))
+    out = (log_sum + 0.5 * np.log(2.0 * scale ** 2)
+           - 0.5 * np.log(2.0 * np.pi * var))
+    return float(out[0]) if scalar else out
 
 
 @dataclass
@@ -201,6 +235,12 @@ class LgocvResult:
     def negated_utility(self):
         return -self.utility
 
+    @property
+    def skipped_frac(self):
+        """Skipped share of the requested observations (nan if none)."""
+        total = len(self.indices) + len(self.skipped)
+        return len(self.skipped) / total if total else float("nan")
+
     def write_csv(self, path):
         with open(path, "w") as fh:
             fh.write("index,group_size,density,log_score\n")
@@ -214,6 +254,7 @@ class LgocvResult:
             "negated_utility": repr(self.negated_utility),
             "n_evaluated": str(len(self.indices)),
             "n_skipped": str(len(self.skipped)),
+            "skipped_frac": repr(self.skipped_frac),
             "n_theta": str(self.n_theta),
         }
         if extra:
@@ -223,27 +264,13 @@ class LgocvResult:
                 fh.write(f"{k} = {v}\n")
 
 
-def _observation_density(model, gas, grid, i, I, gh_order):
-    """Outer theta mixture of the leave-group-out density for one point."""
-    log_inner = np.empty(len(gas))
-    log_corr = np.empty(len(gas))
-    pos = int(np.where(I == i)[0][0])
-    for k, ga in enumerate(gas):
-        em = eta_covariance(ga, I)
-        lgm = downdate(em, ga)
-        log_corr[k] = theta_correction(lgm, em, ga)
-        log_inner[k] = gh_log_predictive(
-            model, ga.theta, i, lgm.mu[pos], lgm.sigma[pos, pos], gh_order)
-    logw = np.log(grid.weights) - log_corr
-    logw -= logw.max()
-    w = np.exp(logw)
-    w /= w.sum()
-    return float(np.dot(w, np.exp(log_inner)))
-
-
 def predictive_density(model, gas, grid, i, groups, gh_order=DEFAULT_GH_ORDER):
     """pi(y_i | y_-I_i) mixing corrected theta weights over the grid."""
-    return _observation_density(model, gas, grid, i, groups[i], gh_order)
+    res = compute_lgocv(model, grid, groups, gas=gas, test_indices=[i],
+                        gh_order=gh_order)
+    if res.skipped:
+        raise DowndateError(res.skipped[0][1])
+    return float(res.density[0])
 
 
 def fit_grid_approximations(model, grid, tol=1e-8):
@@ -251,47 +278,164 @@ def fit_grid_approximations(model, grid, tol=1e-8):
     return [find_mode(model, hp, tol=tol) for hp in grid.points]
 
 
+def _distinct_groups(groups, test):
+    """The distinct groups of the test observations, in first-use order.
+
+    Returns the member arrays, the group of each test observation and the
+    observation's position within its group.
+    """
+    keys, members = {}, []
+    group_of = np.empty(len(test), dtype=int)
+    at = np.empty(len(test), dtype=int)
+    for n, i in enumerate(test):
+        I = np.asarray(groups[i], dtype=int)
+        g = keys.setdefault(tuple(I.tolist()), len(members))
+        if g == len(members):
+            if np.unique(I).size != I.size:
+                raise IndexError("index set contains duplicates")
+            members.append(I)
+        group_of[n] = g
+        at[n] = int(np.flatnonzero(I == i)[0])
+    return members, group_of, at
+
+
+def _union_chunks(members, limit):
+    """Runs of consecutive groups whose member union stays within ``limit``
+    columns; a larger group forms a run of its own.
+
+    Each run is (group ids, sorted member union, the positions of each
+    group's members in the union).
+    """
+    runs, ids, union = [], [], set()
+    for g, I in enumerate(members):
+        if ids and len(union.union(I.tolist())) > limit:
+            runs.append(ids)
+            ids, union = [], set()
+        ids.append(g)
+        union.update(I.tolist())
+    if ids:
+        runs.append(ids)
+    out = []
+    for ids in runs:
+        U = np.unique(np.concatenate([members[g] for g in ids]))
+        out.append((ids, U, [np.searchsorted(U, members[g]) for g in ids]))
+    return out
+
+
+@dataclass
+class _ThetaScores:
+    """One theta point's share of the mixture over the grid."""
+
+    log_corr: np.ndarray      # per distinct group; nan where it failed
+    log_inner: np.ndarray     # per test observation; nan where skipped
+    failures: dict            # test position -> reason
+    rank_paths: Counter
+
+
+def _score_theta(model, ga, test, members, group_of, at, chunks, gh_order):
+    """Leave-group moments of every distinct group at one theta point, then
+    one quadrature over the test observations whose group downdated."""
+    offset = np.cumsum([0] + [I.size for I in members])
+    loo_mu = np.zeros(offset[-1])
+    loo_var = np.zeros(offset[-1])
+    log_corr = np.full(len(members), np.nan)
+    reasons, paths = {}, Counter()
+    for ids, U, pos in chunks:
+        em = eta_covariance(ga, U)
+        for g, p in zip(ids, pos):
+            sub = EtaMoments(members[g], em.mu[p], em.sigma[np.ix_(p, p)])
+            try:
+                lgm = downdate(sub, ga)
+                log_corr[g] = theta_correction(lgm, sub, ga)
+            except DowndateError as exc:
+                reasons[g] = str(exc)
+                continue
+            paths[lgm.rank_path] += 1
+            loo_mu[offset[g]:offset[g + 1]] = lgm.mu
+            loo_var[offset[g]:offset[g + 1]] = np.diag(lgm.sigma)
+
+    flat = offset[group_of] + at
+    mean, var = loo_mu[flat], loo_var[flat]
+    downdated = np.isfinite(log_corr[group_of])
+    degenerate = downdated & (var <= 0)
+    failures = {int(n): reasons[group_of[n]]
+                for n in np.flatnonzero(~downdated)}
+    failures.update((int(n), DEGENERATE_VARIANCE)
+                    for n in np.flatnonzero(degenerate))
+    score = downdated & ~degenerate
+    log_inner = np.full(len(test), np.nan)
+    if score.any():
+        log_inner[score] = gh_log_predictive(model, ga.theta, test[score],
+                                             mean[score], var[score], gh_order)
+    return _ThetaScores(log_corr, log_inner, failures, paths)
+
+
 def compute_lgocv(model, grid, groups, gas=None, test_indices=None,
                   gh_order=DEFAULT_GH_ORDER, threads=1):
     """Leave-group-out predictive density for every requested observation.
 
-    Per-observation failures are collected as diagnostics instead of
-    aborting; results are merged in observation order, so the output is
-    deterministic regardless of ``threads``.
+    Works one theta point at a time.  The test observations' groups are
+    deduplicated; per chunk of distinct groups whose member union spans at
+    most ``RHS_BATCH`` columns, one multi-RHS solve gives the moments of
+    eta_U, and each group's moments are its sub-block.  The downdate and
+    the theta correction then run once per distinct group, and one batched
+    Gauss-Hermite call scores every test observation.  ``threads`` runs
+    theta points in parallel.
+
+    An observation whose group cannot be downdated, or whose leave-out
+    variance is degenerate, at some theta point is skipped with the first
+    such reason in grid order; skips are collected as diagnostics instead
+    of aborting.  Results are in observation order and do not depend on
+    ``threads``.
     """
     if gas is None:
         gas = fit_grid_approximations(model, grid)
     if test_indices is None:
         test_indices = groups.indices()
-    test_indices = [int(i) for i in test_indices]
+    test = np.sort(np.array([int(i) for i in test_indices], dtype=int))
+    members, group_of, at = _distinct_groups(groups, test)
+    chunks = _union_chunks(members, RHS_BATCH)
 
-    def one(i):
-        try:
-            return i, _observation_density(model, gas, grid, i, groups[i], gh_order)
-        except DowndateError as exc:
-            return i, exc
+    def one(ga):
+        return _score_theta(model, ga, test, members, group_of, at, chunks,
+                            gh_order)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            raw = list(pool.map(one, test_indices))
+            per_theta = list(pool.map(one, gas))
     else:
-        raw = [one(i) for i in test_indices]
+        per_theta = [one(ga) for ga in gas]
 
-    idx, dens, sizes, skipped = [], [], [], []
-    for i, out in sorted(raw, key=lambda t: t[0]):
-        if isinstance(out, Exception):
-            skipped.append((i, str(out)))
-            log.warning("observation %d skipped: %s", i, out)
-            continue
-        idx.append(i)
-        dens.append(out)
-        sizes.append(len(groups[i]))
+    reasons = {}
+    for scores in per_theta:          # grid order: the first failure wins
+        for n, msg in scores.failures.items():
+            reasons.setdefault(n, msg)
+    skipped = [(int(test[n]), reasons[n]) for n in sorted(reasons)]
+    for i, msg in skipped:
+        log.warning("observation %d skipped: %s", i, msg)
+    ok = np.ones(len(test), dtype=bool)
+    ok[list(reasons)] = False
 
-    dens = np.array(dens)
+    log_corr = np.array([s.log_corr for s in per_theta])[:, group_of[ok]]
+    log_inner = np.array([s.log_inner for s in per_theta])[:, ok]
+    logw = np.log(grid.weights)[:, None] - log_corr
+    logw -= logw.max(axis=0)
+    w = np.exp(logw)
+    w /= w.sum(axis=0)
+    dens = np.einsum("kn,kn->n", w, np.exp(log_inner))
+
+    paths = sum((s.rank_paths for s in per_theta), Counter())
+    log.debug("lgocv: %d theta points, %d test observations, %d distinct "
+              "groups, %d RHS columns, downdates full=%d eigen=%d, "
+              "%d skipped", len(gas), len(test), len(members),
+              len(gas) * sum(U.size for _, U, _ in chunks),
+              paths["full"], paths["eigen"], len(skipped))
+
     log_score = np.log(dens)
     utility = float(np.mean(log_score)) if len(dens) else float("nan")
-    return LgocvResult(np.array(idx, dtype=int), dens, log_score,
-                       np.array(sizes, dtype=int), utility, skipped, len(gas))
+    sizes = np.array([members[g].size for g in group_of[ok]], dtype=int)
+    return LgocvResult(test[ok], dens, log_score, sizes, utility, skipped,
+                       len(gas))
 
 
 def compute_loocv(model, grid, gas=None, test_indices=None,

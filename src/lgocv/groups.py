@@ -17,6 +17,8 @@ import numpy as np
 import scipy.sparse.linalg as spla
 import scipy.sparse as sp
 
+from .covariance import RHS_BATCH
+
 log = logging.getLogger(__name__)
 
 _TINY = 1e-300
@@ -69,7 +71,7 @@ class GroupSpec:
 class _SparseCorrEngine:
     """Correlation rows via solves against a factorized precision."""
 
-    def __init__(self, A, solve, constrain, batch=512):
+    def __init__(self, A, solve, constrain, batch=RHS_BATCH):
         self.A = sp.csr_matrix(A)
         self._solve = solve
         self._constrain = constrain

@@ -213,13 +213,6 @@ class LgmModel:
         fam = self.subset_likelihood(np.full(eta.size, int(i)))
         return fam.log_density(np.full(eta.size, self.y[i]), eta, hyper)
 
-    def loglik_obs_derivatives(self, theta, i, eta):
-        """(g, g', g'') of observation i's log likelihood at predictor values."""
-        hyper = self.hyper_dict(getattr(theta, "values", theta))
-        eta = np.asarray(eta, dtype=float)
-        fam = self.subset_likelihood(np.full(eta.size, int(i)))
-        return fam.derivatives(np.full(eta.size, self.y[i]), eta, hyper)
-
     def subset_likelihood(self, idx):
         """Likelihood family restricted to observations ``idx``."""
         fam = self.likelihood

@@ -1,16 +1,21 @@
+import copy
+import logging
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.stats import norm
 
+from lgocv import engine, simulate
 from lgocv.approx import build_theta_grid, find_mode
 from lgocv.components import Iid
 from lgocv.covariance import eta_covariance
-from lgocv.engine import (DowndateError, compute_lgocv, compute_loocv,
-                          downdate, gh_log_predictive, predictive_density,
+from lgocv.engine import (DowndateError, LeaveGroupMoments, compute_lgocv,
+                          compute_loocv, downdate, fit_grid_approximations,
+                          gh_log_predictive, predictive_density,
                           theta_correction)
-from lgocv.groups import singleton_groups
-from lgocv.likelihoods import Poisson
+from lgocv.groups import CorrelationSource, build_groups, singleton_groups
+from lgocv.likelihoods import Binomial, Exponential, Gaussian, Poisson
 from lgocv.model import LgmModel
 from lgocv.oracle import dense_downdate_oracle
 
@@ -201,3 +206,181 @@ def test_result_csv_round_trips_values(tmp_path):
     assert rows[0] == "index,group_size,density,log_score"
     vals = [float(r.split(",")[2]) for r in rows[1:]]
     assert np.array_equal(np.array(vals), res.density)
+
+
+# -- batched scoring: shared groups, skips, array quadrature ------------------
+
+@pytest.fixture(scope="module")
+def multilevel_fit():
+    """Binomial multilevel with an estimated class precision and posterior
+    groups at m=1: every observation of a class shares one group."""
+    model = simulate.multilevel_model(
+        simulate.simulate_multilevel("binomial", 3), "binomial")
+    grid = build_theta_grid(model)
+    gas = fit_grid_approximations(model, grid)
+    ga_mode = gas[int(np.argmax(grid.log_posteriors))]
+    groups = build_groups(CorrelationSource("posterior"), ga_mode, m=1)
+    test = list(range(0, model.n_obs, 3))
+    return model, grid, gas, groups, test
+
+
+def _one_at_a_time(model, grid, gas, groups, test):
+    return np.array([compute_lgocv(model, grid, groups, gas=gas,
+                                   test_indices=[i]).density[0] for i in test])
+
+
+@pytest.mark.parametrize("columns", [None, 25], ids=["one_chunk", "chunked"])
+def test_shared_groups_match_one_at_a_time(multilevel_fit, monkeypatch,
+                                           columns):
+    model, grid, gas, groups, test = multilevel_fit
+    assert len(grid) > 1
+    assert len({tuple(groups[i]) for i in test}) == 10   # one per class
+    want = _one_at_a_time(model, grid, gas, groups, test)
+
+    unions = []
+
+    def counted(ga, I):
+        unions.append(len(I))
+        return eta_covariance(ga, I)
+
+    monkeypatch.setattr(engine, "eta_covariance", counted)
+    if columns is not None:
+        monkeypatch.setattr(engine, "RHS_BATCH", columns)
+    res = compute_lgocv(model, grid, groups, gas=gas, test_indices=test)
+    assert not res.skipped
+    assert list(res.indices) == test
+    np.testing.assert_allclose(res.density, want, rtol=1e-12, atol=0)
+    chunks = 1 if columns is None else 5     # two 10-member classes per run
+    assert len(unions) == chunks * len(gas)
+    assert max(unions) <= engine.RHS_BATCH
+
+
+def _per_observation_reason(model, gas, i, I):
+    """First failure for one observation, walking the grid in order."""
+    pos = int(np.flatnonzero(I == i)[0])
+    for ga in gas:
+        try:
+            em = eta_covariance(ga, I)
+            lgm = downdate(em, ga)
+            theta_correction(lgm, em, ga)
+            gh_log_predictive(model, ga.theta, i, lgm.mu[pos],
+                              lgm.sigma[pos, pos])
+        except DowndateError as exc:
+            return str(exc)
+    return None
+
+
+def _inflated(ga, j, factor):
+    bad = copy.copy(ga)
+    bad.c = ga.c.copy()
+    bad.c[j] *= factor
+    return bad
+
+
+def test_failed_downdate_skips_the_whole_group(multilevel_fit):
+    model, grid, gas, groups, test = multilevel_fit
+    good = compute_lgocv(model, grid, groups, gas=gas, test_indices=test)
+    j = 30
+    I = groups[j]
+    bad = list(gas)
+    bad[1] = _inflated(gas[1], j, 1e4)
+    bad[-1] = _inflated(gas[-1], j, 1e6)        # a later, different failure
+    res = compute_lgocv(model, grid, groups, gas=bad, test_indices=test)
+
+    sharing = [i for i in test if i in I]
+    assert sharing and [i for i, _ in res.skipped] == sharing
+    for i, msg in res.skipped:
+        assert msg == _per_observation_reason(model, bad, i, groups[i])
+        assert msg.startswith("leave-out precision has eigenvalue")
+    with pytest.raises(DowndateError) as late:
+        downdate(eta_covariance(bad[-1], I), bad[-1])
+    assert res.skipped[0][1] != str(late.value)
+
+    kept = np.isin(good.indices, res.indices)
+    assert np.array_equal(res.indices, good.indices[kept])
+    assert np.array_equal(res.density, good.density[kept])
+    assert res.skipped_frac == len(sharing) / len(test)
+
+
+def test_degenerate_variance_skips_in_the_batch(multilevel_fit, monkeypatch):
+    model, grid, gas, groups, test = multilevel_fit
+    good = compute_lgocv(model, grid, groups, gas=gas, test_indices=test)
+    I = groups[test[0]]
+
+    def zero_variance(em, ga):
+        lgm = downdate(em, ga)
+        if ga is gas[0] and np.array_equal(em.indices, I):
+            return LeaveGroupMoments(lgm.indices, lgm.mu, 0.0 * lgm.sigma,
+                                     lgm.rank_path, lgm.log_ratio)
+        return lgm
+
+    monkeypatch.setattr(engine, "downdate", zero_variance)
+    res = compute_lgocv(model, grid, groups, gas=gas, test_indices=test)
+    sharing = [i for i in test if i in I]
+    assert res.skipped == [(i, engine.DEGENERATE_VARIANCE) for i in sharing]
+    kept = np.isin(good.indices, res.indices)
+    assert np.array_equal(res.density, good.density[kept])
+
+
+def _direct_model(lik, y):
+    n = len(y)
+    return LgmModel([Iid("f", n, log_prec=0.0)], sp.identity(n, format="csr"),
+                    lik, np.asarray(y, dtype=float))
+
+
+ARRAY_CASES = {
+    "gaussian": _direct_model(Gaussian(precision=2.0), [0.3, -1.2, 2.5, 0.0]),
+    "gaussian_narrow": _direct_model(Gaussian(precision=1e6),
+                                     [0.3, -1.2, 2.5, 0.0]),
+    "poisson_offsets": _direct_model(Poisson(offset=np.array([0.5, 2.0, 40.0,
+                                                              1e3])),
+                                     [0, 3, 51, 980]),
+    "binomial": _direct_model(Binomial(n_trials=np.array([1.0, 20.0, 20.0,
+                                                          500.0])),
+                              [1, 0, 20, 250]),
+    "exponential": _direct_model(Exponential(), [0.2, 1.0, 7.5, 30.0]),
+}
+
+
+@pytest.mark.parametrize("name", list(ARRAY_CASES))
+def test_array_quadrature_matches_scalar_calls(name):
+    model = ARRAY_CASES[name]
+    theta = model.hyper_point(np.zeros(0))
+    idx = np.array([0, 1, 2, 3, 2, 0])
+    mean = np.array([0.1, -0.7, 1.9, 0.4, -2.0, 3.0])
+    var = np.array([0.5, 4.0, 1e-3, 9.0, 0.2, 1e-6])
+    got = gh_log_predictive(model, theta, idx, mean, var)
+    want = [gh_log_predictive(model, theta, int(i), m, v)
+            for i, m, v in zip(idx, mean, var)]
+    assert isinstance(want[0], float)
+    np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
+
+
+def test_array_quadrature_rejects_degenerate_variance():
+    model = ARRAY_CASES["gaussian"]
+    theta = model.hyper_point(np.zeros(0))
+    with pytest.raises(DowndateError):
+        gh_log_predictive(model, theta, [0, 1], [0.0, 0.0], [1.0, 0.0])
+
+
+def test_debug_line_and_skipped_frac(multilevel_fit, caplog, tmp_path):
+    model, grid, gas, groups, test = multilevel_fit
+    with caplog.at_level(logging.DEBUG, logger="lgocv.engine"):
+        res = compute_lgocv(model, grid, groups, gas=gas, test_indices=test)
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("lgocv:")]
+    K = len(gas)
+    assert lines == [f"lgocv: {K} theta points, {len(test)} test observations, "
+                     f"10 distinct groups, {K * 100} RHS columns, downdates "
+                     f"full=0 eigen={10 * K}, 0 skipped"]
+    path = tmp_path / "summary.txt"
+    res.write_summary(str(path))
+    assert "skipped_frac = 0.0\n" in path.read_text()
+
+
+def test_no_test_observations_gives_nan_utility():
+    model = multilevel_poisson(seed=6, classes=3, per_class=4)
+    grid = build_theta_grid(model)
+    res = compute_lgocv(model, grid, singleton_groups([]), test_indices=[])
+    assert res.indices.size == 0 and res.density.size == 0
+    assert np.isnan(res.utility) and np.isnan(res.skipped_frac)
