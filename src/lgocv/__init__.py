@@ -7,8 +7,7 @@ and evaluates each leave-group-out predictive density without refitting.
 
 from .likelihoods import Gaussian, Poisson, Binomial, Exponential
 from .components import FixedEffects, Iid, Ar1, Rw1, Rw2, Besag, read_graph
-from .model import (LgmModel, HyperSpec, HyperPoint,
-                    assemble_prior_precision, log_likelihood_derivatives)
+from .model import LgmModel, HyperSpec, HyperPoint
 from .approx import (find_mode, log_evidence, build_theta_grid,
                      GaussianApprox, ThetaGrid, GridConfig,
                      ModeFindingError, FactorizationError)

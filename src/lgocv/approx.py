@@ -98,6 +98,25 @@ def _feasible_start(model):
     return C.T @ np.linalg.solve(C @ C.T, e)
 
 
+def _linearize(P, A, C_e, eta, g1, g2):
+    """Quadratic model of the log posterior at eta, factorized and solved.
+
+    Returns the curvature c, the linear term b, the LU of Q = P + A' diag(c) A,
+    the unconstrained maximizer mu_unc and its kriged projection mu onto the
+    constraints ``C_e``.
+    """
+    c = np.maximum(-g2, 0.0)
+    b = g1 - g2 * eta
+    lu = _splu((P + (A.T @ sp.diags(c) @ A)).tocsc())
+    mu_unc = lu.solve(A.T @ b)
+    mu = mu_unc
+    if C_e is not None:
+        C, e = C_e
+        W = lu.solve(C.T)
+        mu = mu_unc - W @ cho_solve(cho_factor(C @ W), C @ mu_unc - e)
+    return c, b, lu, mu_unc, mu
+
+
 def find_mode(model, theta, init=None, tol=1e-8, max_iter=100):
     """Newton mode search for pi(f | theta, y) with step-halving line search."""
     theta = theta if hasattr(theta, "values") else model.hyper_point(theta)
@@ -111,18 +130,7 @@ def find_mode(model, theta, init=None, tol=1e-8, max_iter=100):
     obj = -0.5 * f @ (P @ f) + g.sum()
 
     for it in range(1, max_iter + 1):
-        c = np.maximum(-g2, 0.0)
-        b = g1 - g2 * eta
-        Q = (P + (A.T @ sp.diags(c) @ A)).tocsc()
-        lu = _splu(Q)
-        mu_unc = lu.solve(A.T @ b)
-        mu = mu_unc
-        if C_e is not None:
-            C, e = C_e
-            W = lu.solve(C.T)
-            cho = cho_factor(C @ W)
-            mu = mu_unc - W @ cho_solve(cho, C @ mu_unc - e)
-
+        mu = _linearize(P, A, C_e, eta, g1, g2)[-1]
         step = mu - f
         alpha = 1.0
         for _ in range(40):
@@ -141,21 +149,10 @@ def find_mode(model, theta, init=None, tol=1e-8, max_iter=100):
         g, g1, g2 = g_new, g1_new, g2_new
         if delta <= tol:
             # refresh the linearization at the accepted point
-            c = np.maximum(-g2, 0.0)
-            b = g1 - g2 * eta
-            Q = (P + (A.T @ sp.diags(c) @ A)).tocsc()
-            lu = _splu(Q)
-            mu_unc = lu.solve(A.T @ b)
-            mu = mu_unc
-            if C_e is not None:
-                C, e = C_e
-                W = lu.solve(C.T)
-                cho = cho_factor(C @ W)
-                mu = mu_unc - W @ cho_solve(cho, C @ mu_unc - e)
-            eta_m = A @ mu
-            g_m = model.loglik(theta, eta_m)
+            c, b, lu, mu_unc, mu = _linearize(P, A, C_e, eta, g1, g2)
+            g_m = model.loglik(theta, A @ mu)
             return GaussianApprox(model, theta, mu, mu_unc, lu,
-                                  b=g1 - g2 * eta, c=c, g=g_m, P=P, n_iter=it)
+                                  b=b, c=c, g=g_m, P=P, n_iter=it)
 
     raise ModeFindingError(f"Newton did not converge in {max_iter} iterations "
                            f"(theta={np.asarray(theta.values)})")

@@ -134,15 +134,19 @@ class Ar1:
         return []
 
 
-def _structure_logdet_plus(R):
-    """Log pseudo-determinant of a fixed intrinsic structure matrix."""
-    w = np.linalg.eigvalsh(R.toarray())
-    tol = max(w.max(), 1.0) * 1e-10
-    return float(np.sum(np.log(w[w > tol])))
+class _IntrinsicStructure:
+    """An intrinsic component's fixed structure matrix ``_structure``."""
+
+    @cached_property
+    def _structure_logdet(self):
+        """Log pseudo-determinant of ``_structure``, computed once."""
+        w = np.linalg.eigvalsh(self._structure.toarray())
+        tol = max(w.max(), 1.0) * 1e-10
+        return float(np.sum(np.log(w[w > tol])))
 
 
 @dataclass(frozen=True)
-class Rw1:
+class Rw1(_IntrinsicStructure):
     name: str
     size: int
     log_prec: float | str = 1.0
@@ -174,14 +178,14 @@ class Rw1:
 
     def log_det(self, hyper):
         tau = _resolve_log_prec(self.log_prec, hyper)
-        return (self.size - 1) * np.log(tau) + _structure_logdet_plus(self._structure)
+        return (self.size - 1) * np.log(tau) + self._structure_logdet
 
     def constraint_rows(self):
         return [np.ones(self.size)]
 
 
 @dataclass(frozen=True)
-class Rw2:
+class Rw2(_IntrinsicStructure):
     name: str
     size: int
     log_prec: float | str = 1.0
@@ -208,7 +212,7 @@ class Rw2:
 
     def log_det(self, hyper):
         tau = _resolve_log_prec(self.log_prec, hyper)
-        return (self.size - 2) * np.log(tau) + _structure_logdet_plus(self._structure)
+        return (self.size - 2) * np.log(tau) + self._structure_logdet
 
     def constraint_rows(self):
         return [np.ones(self.size)]
@@ -259,7 +263,7 @@ def _connected_blocks(adj):
 
 
 @dataclass(frozen=True)
-class Besag:
+class Besag(_IntrinsicStructure):
     """Unscaled ICAR block: degree on the diagonal, -1 for neighbours."""
 
     name: str
@@ -305,7 +309,7 @@ class Besag:
     def log_det(self, hyper):
         tau = _resolve_log_prec(self.log_prec, hyper)
         rank = self.size - self.null_dim
-        return rank * np.log(tau) + _structure_logdet_plus(self._structure)
+        return rank * np.log(tau) + self._structure_logdet
 
     def constraint_rows(self):
         rows = []

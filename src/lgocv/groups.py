@@ -4,8 +4,9 @@ For each observation i the groups union the top-m level sets of the absolute
 correlation between eta_i and every other predictor, evaluated at the
 hyperparameter mode.  Correlations come either from the posterior precision
 Q_f or from a principal submatrix of the prior precision (conditioning on
-the unselected effects).  Full correlation matrices are never stored; each
-row is one sparse solve.
+the unselected effects).  Full correlation matrices are never stored; rows
+come in blocks of at most ``RHS_BATCH`` observations, one multi-RHS solve per
+block, and only the top-m level sets of each row are located.
 """
 
 from __future__ import annotations
@@ -68,6 +69,14 @@ class GroupSpec:
         return all(len(v) == 1 for v in self.groups.values())
 
 
+def _abs_corr(cov, sd, idx):
+    """|corr| rows from the (n, len(idx)) covariance columns of eta_idx."""
+    idx = np.asarray(idx, dtype=int)
+    r = np.abs(cov.T) / np.outer(sd[idx], sd)
+    r[np.arange(idx.size), idx] = 1.0
+    return np.minimum(r, 1.0)
+
+
 class _SparseCorrEngine:
     """Correlation rows via solves against a factorized precision."""
 
@@ -85,12 +94,10 @@ class _SparseCorrEngine:
             raise GroupingError("zero marginal predictor variance; degenerate model")
         self.sd = np.sqrt(var)
 
-    def row(self, i):
-        x = self._constrain(self._solve(self.A[i].T.toarray())).ravel()
-        cov = self.A @ x
-        r = np.abs(cov) / (self.sd * self.sd[i])
-        r[i] = 1.0
-        return np.minimum(r, 1.0)
+    def rows(self, idx):
+        """(len(idx), n) block of |corr| rows from one multi-RHS solve."""
+        X = self._constrain(self._solve(self.A[idx].T.toarray()))
+        return _abs_corr(self.A @ X, self.sd, idx)
 
 
 class _DenseCorrEngine:
@@ -112,11 +119,9 @@ class _DenseCorrEngine:
             raise GroupingError("zero marginal predictor variance; degenerate model")
         self.sd = np.sqrt(var)
 
-    def row(self, i):
-        x = self.sigma @ np.asarray(self.A[i].todense()).ravel()
-        r = np.abs(self.A @ x) / (self.sd * self.sd[i])
-        r[i] = 1.0
-        return np.minimum(r, 1.0)
+    def rows(self, idx):
+        """(len(idx), n) block of |corr| rows from one dense product."""
+        return _abs_corr(self.A @ (self.sigma @ self.A[idx].T.toarray()), self.sd, idx)
 
 
 def _selected_columns(model, subset):
@@ -200,35 +205,36 @@ def correlation_row(source, ga, i):
     """|corr(eta_i, eta_j)| for all j, with exact 1 at j = i."""
     if not 0 <= i < ga.model.n_obs:
         raise IndexError(f"observation index {i} out of range")
-    return _engine_for(source, ga).row(i)
+    return _engine_for(source, ga).rows([i])[0]
 
 
-def level_set_partition(r, tie_tol):
+def level_set_partition(r, tie_tol, m=None):
     """Sort |correlations| descending and split into near-tie runs.
 
     Returns (order, ends): ``order`` is the descending index permutation
     (ties broken by observation index) and ``ends`` the exclusive end offset
-    of each level set within ``order``.
+    of each level set within ``order``; with ``m`` only the first m sets.
+    A set ends at the first value more than ``tie_tol`` (relative) below
+    its leading value.
     """
     order = np.argsort(-r, kind="stable")
     vals = r[order]
+    n = vals.size
     ends = []
     k = 0
-    n = vals.size
-    while k < n:
+    while k < n and (m is None or len(ends) < m):
         ref = vals[k]
         k += 1
-        while k < n and ref - vals[k] <= tie_tol * max(ref, _TINY):
-            k += 1
+        tied = ref - vals[k:] <= tie_tol * max(ref, _TINY)
+        k = n if tied.all() else k + int(np.argmin(tied))
         ends.append(k)
     return order, ends
 
 
 def group_from_row(r, m, tie_tol):
     """Union of the top-m level sets of one absolute-correlation row."""
-    order, ends = level_set_partition(r, tie_tol)
-    end = ends[min(m, len(ends)) - 1]
-    return np.sort(order[:end])
+    order, ends = level_set_partition(r, tie_tol, m)
+    return np.sort(order[:ends[-1]])
 
 
 def build_groups(source, ga, m, tie_tol=1e-8, indices=None, max_size=None):
@@ -238,14 +244,22 @@ def build_groups(source, ga, m, tie_tol=1e-8, indices=None, max_size=None):
     n = ga.model.n_obs
     cap = n if max_size is None else int(max_size)
     engine = _engine_for(source, ga)
-    idx = range(n) if indices is None else indices
+    idx = np.arange(n) if indices is None else np.asarray(indices, dtype=int)
     groups = {}
-    for i in idx:
-        g = group_from_row(engine.row(i), m, tie_tol)
-        if g.size > cap:
-            log.warning("group for observation %d has %d members (cap %d); "
-                        "a level set exploded", i, g.size, cap)
-        groups[int(i)] = g
+    starts = range(0, idx.size, RHS_BATCH)
+    for start in starts:
+        block = idx[start:start + RHS_BATCH]
+        for i, r in zip(block, engine.rows(block)):
+            g = group_from_row(r, m, tie_tol)
+            if g.size > cap:
+                log.warning("group for observation %d has %d members (cap %d); "
+                            "a level set exploded", i, g.size, cap)
+            groups[int(i)] = g
+    sizes = [g.size for g in groups.values()]
+    log.debug("build_groups: m=%d, %d rows in %d RHS blocks, group size "
+              "mean %.3f max %d, %d over cap %d", m, idx.size, len(starts),
+              np.mean(sizes) if sizes else 0.0, max(sizes, default=0),
+              sum(s > cap for s in sizes), cap)
     return GroupSpec(groups, m, source, tie_tol)
 
 

@@ -244,12 +244,3 @@ class LgmModel:
         return LgmModel(self.components, self.design[keep], self.subset_likelihood(keep),
                         self.y[keep], self.hypers, extra)
 
-
-def assemble_prior_precision(model, theta):
-    """P_f(theta) with a theta-independent sparsity pattern."""
-    return model.prior_precision(theta)
-
-
-def log_likelihood_derivatives(model, theta, eta):
-    """Value, gradient and second derivative of each g_i at eta_i."""
-    return model.loglik_derivatives(theta, eta)

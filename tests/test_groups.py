@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import lgocv.groups
 from lgocv.approx import find_mode
-from lgocv.components import Ar1, FixedEffects, Iid
+from lgocv.components import Ar1, FixedEffects, Iid, Rw1
 from lgocv.groups import (CorrelationSource, GroupingError, build_groups,
                           correlation_row, group_from_row,
                           level_set_partition, read_groups, singleton_groups,
@@ -136,6 +139,80 @@ def test_level_set_properties(r, m):
     g_m = group_from_row(r, m, 1e-8)
     g_next = group_from_row(r, m + 1, 1e-8)
     assert set(g_m.tolist()) <= set(g_next.tolist())
+
+
+def reference_partition(r, tie_tol):
+    """The element-by-element level-set walk the vectorized one replaces."""
+    order = np.argsort(-r, kind="stable")
+    vals = r[order]
+    ends = []
+    k = 0
+    n = vals.size
+    while k < n:
+        ref = vals[k]
+        k += 1
+        while k < n and ref - vals[k] <= tie_tol * max(ref, 1e-300):
+            k += 1
+        ends.append(k)
+    return order, ends
+
+
+@st.composite
+def near_tie_rows(draw):
+    """Rows of values from a small set, exact duplicates, and chains of
+    values 0.5-2 tie tolerances apart (relative), so that ties straddle
+    the boundary from both sides."""
+    tie_tol = draw(st.sampled_from([1e-8, 1e-3, 0.05]))
+    bases = draw(st.lists(st.sampled_from([1.0, 0.9, 0.5, 0.3, 1e-3, 1e-200, 0.0]),
+                          min_size=1, max_size=4))
+    vals = []
+    for _ in range(draw(st.integers(1, 25))):
+        v = draw(st.sampled_from(bases + vals))
+        frac = draw(st.one_of(st.just(0.0), st.floats(0.5, 2.0)))
+        vals.append(v * (1.0 - frac * tie_tol))
+    return np.array(vals), tie_tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(row=near_tie_rows(), m=st.integers(1, 6))
+def test_level_sets_equal_reference_walk(row, m):
+    r, tie_tol = row
+    ref_order, ref_ends = reference_partition(r, tie_tol)
+    order, ends = level_set_partition(r, tie_tol)
+    assert np.array_equal(order, ref_order)
+    assert ends == ref_ends
+    order, ends = level_set_partition(r, tie_tol, m)
+    assert np.array_equal(order, ref_order)
+    assert ends == ref_ends[:m]
+    end = ref_ends[min(m, len(ref_ends)) - 1]
+    assert np.array_equal(group_from_row(r, m, tie_tol), np.sort(ref_order[:end]))
+
+
+def rw1_model(n=14):
+    """Intercept plus RW1: its prior subset goes through the dense engine."""
+    comps = [FixedEffects("intercept", 1, prec=1.0), Rw1("walk", n, log_prec=1.0)]
+    A = sp.hstack([sp.csr_matrix(np.ones((n, 1))), sp.identity(n, format="csr")],
+                  format="csr")
+    return LgmModel(comps, A, Gaussian(precision=5.0), np.cos(np.linspace(0, 4, n)))
+
+
+@pytest.mark.parametrize("model, source", [
+    (multilevel_poisson(seed=4, classes=4, per_class=5), POSTERIOR),
+    (ar1_model(n=20, rho=0.8), CorrelationSource("prior", ("trend",))),
+    (rw1_model(), CorrelationSource("prior", ("walk",))),
+], ids=["posterior", "sparse-prior", "dense-prior"])
+def test_blocked_rows_match_single_rows(model, source, monkeypatch, caplog):
+    monkeypatch.setattr(lgocv.groups, "RHS_BATCH", 3)
+    ga = fitted(model)
+    test = np.random.default_rng(0).permutation(model.n_obs)[:11]
+    for m in (1, 3):
+        with caplog.at_level(logging.DEBUG, logger="lgocv.groups"):
+            spec = build_groups(source, ga, m=m, indices=test)
+        assert list(spec.groups) == [int(i) for i in test]
+        for i in test:
+            expected = group_from_row(correlation_row(source, ga, i), m, 1e-8)
+            assert np.array_equal(spec[i], expected)
+    assert "11 rows in 4 RHS blocks" in caplog.text
 
 
 def test_group_io_round_trip(tmp_path):

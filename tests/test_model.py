@@ -4,8 +4,7 @@ import scipy.sparse as sp
 
 from lgocv.components import FixedEffects, Iid, Rw1
 from lgocv.likelihoods import Gaussian, Poisson
-from lgocv.model import (HyperSpec, LgmModel, ModelError,
-                         assemble_prior_precision, log_likelihood_derivatives)
+from lgocv.model import HyperSpec, LgmModel, ModelError
 
 from conftest import iid_identity_model
 
@@ -17,7 +16,7 @@ def test_block_diagonal_assembly_matches_dense_oracle():
     A = sp.csr_matrix(np.ones((n, 9)))
     model = LgmModel(comps, A, Gaussian(), np.zeros(n))
     theta = model.hyper_point(np.zeros(0))
-    P = assemble_prior_precision(model, theta).toarray()
+    P = model.prior_precision(theta).toarray()
     expected = np.zeros((9, 9))
     pos = 0
     for c in comps:
@@ -40,7 +39,7 @@ def test_pattern_independent_of_theta():
 def test_loglik_derivatives_dispatch():
     model = iid_identity_model(3, obs_prec=4.0, y=np.array([1.0, 0.0, -1.0]))
     theta = model.hyper_point(np.zeros(0))
-    g, g1, g2 = log_likelihood_derivatives(model, theta, np.zeros(3))
+    g, g1, g2 = model.loglik_derivatives(theta, np.zeros(3))
     assert np.allclose(g1, 4.0 * model.y)
     assert np.allclose(g2, -4.0)
 
