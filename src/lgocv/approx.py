@@ -8,14 +8,19 @@ kept on the returned state and reused by all downstream covariance work.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 import itertools
+import logging
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
+
+
+log = logging.getLogger(__name__)
 
 
 class ModeFindingError(RuntimeError):
@@ -229,11 +234,13 @@ class ThetaGrid:
         return len(self.points)
 
 
-def _log_posterior_fn(model, fit_cache, tol):
+def _log_posterior_fn(model, fit_cache, tol, stats):
     def lp(theta):
+        stats["evaluations"] += 1
         key = tuple(np.round(np.atleast_1d(theta), 12))
         if key not in fit_cache:
             ga = find_mode(model, theta, tol=tol)
+            stats["newton_iters"] += ga.n_iter
             fit_cache[key] = log_evidence(model, ga) + model.log_hyper_prior(theta)
         return fit_cache[key]
     return lp
@@ -244,16 +251,28 @@ def build_theta_grid(model, config=None):
 
     With no free hyperparameters the grid degenerates to a single point of
     weight one.  Above four dimensions only the mode is used (empirical
-    Bayes), mirroring the cost blow-up of dense grids.
+    Bayes), mirroring the cost blow-up of dense grids.  Each call logs one
+    debug line: d, the log-posterior evaluations, the distinct fits and
+    their Newton iterations, the points kept and dropped, and whether the
+    empirical-Bayes fallback was taken.
     """
     config = config or GridConfig()
     d = model.theta_dim
+    cache, stats = {}, Counter()
+
+    def report(kept, dropped, fallback):
+        log.debug("grid: d=%d, %d log-posterior evaluations, %d distinct fits, "
+                  "%d Newton iterations, %d points kept, %d dropped, "
+                  "empirical-Bayes fallback %s", d, stats["evaluations"],
+                  len(cache), stats["newton_iters"], kept, dropped,
+                  "yes" if fallback else "no")
+
     if d == 0:
         hp = model.hyper_point(np.zeros(0))
+        report(1, 0, False)
         return ThetaGrid((hp,), np.zeros(1), np.ones(1), hp)
 
-    cache = {}
-    lp = _log_posterior_fn(model, cache, tol=1e-8)
+    lp = _log_posterior_fn(model, cache, tol=1e-8, stats=stats)
 
     res = minimize(lambda t: -lp(t), model.theta_init(), method="Nelder-Mead",
                    options={"xatol": config.opt_tol, "fatol": 1e-10,
@@ -265,6 +284,7 @@ def build_theta_grid(model, config=None):
 
     if d > 4:
         hp = model.hyper_point(theta_star)
+        report(1, 0, True)
         return ThetaGrid((hp,), np.array([lp_star]), np.ones(1), hp)
 
     # central-difference Hessian of the log posterior at the mode
@@ -288,7 +308,7 @@ def build_theta_grid(model, config=None):
 
     half_width = int(np.ceil(np.sqrt(2 * config.drop_thresh) / config.step)) + 1
     offsets = range(-half_width, half_width + 1)
-    pts, lps = [], []
+    pts, lps, dropped = [], [], 0
     for z in itertools.product(offsets, repeat=d):
         z = np.array(z, dtype=float)
         theta = theta_star + config.step * (axes @ z)
@@ -296,6 +316,9 @@ def build_theta_grid(model, config=None):
         if val >= lp_star - config.drop_thresh:
             pts.append(model.hyper_point(theta))
             lps.append(val)
+        else:
+            dropped += 1
+    report(len(pts), dropped, False)
 
     lps = np.array(lps)
     wts = np.exp(lps - lps.max())

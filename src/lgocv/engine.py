@@ -4,14 +4,14 @@ Per theta grid point, from the factorization kept on its GaussianApprox:
 the test observations' groups are deduplicated, and one multi-RHS solve
 per chunk of distinct groups (member union of at most ``RHS_BATCH``
 columns) gives the posterior moments of eta over the union, from which
-each group's moments are a sub-block.  Once per distinct group, the
-group's likelihood contribution is algebraically removed from the moments
-of eta_I (a precision downdate, with an eigendecomposition path for
-rank-deficient covariances) and the theta weight is corrected by a Laplace
-approximation of pi(y_I | theta, y_-I).  One batched adaptive
-Gauss-Hermite call then evaluates every test observation's
-one-dimensional predictive integral.  Theta points are independent, which
-is what ``threads`` runs in parallel.
+each group's moments are a sub-block.  One kernel call per group size
+removes the groups' likelihood contributions from the moments of eta_I (a
+precision downdate in the z-space of sigma_I's nonzero eigenpairs, for
+full-rank and rank-deficient groups alike) and the theta weight is
+corrected by a Laplace approximation of pi(y_I | theta, y_-I).  One
+batched adaptive Gauss-Hermite call then evaluates every test
+observation's one-dimensional predictive integral.  Theta points are
+independent, which is what ``threads`` runs in parallel.
 """
 
 from __future__ import annotations
@@ -23,18 +23,18 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 from numpy.polynomial.hermite import hermgauss
 
-from .covariance import RHS_BATCH, EtaMoments, eta_covariance
+from .covariance import RHS_BATCH, eta_covariance
 from .approx import find_mode
 
 log = logging.getLogger(__name__)
 
 DEFAULT_GH_ORDER = 15
-RANK_TOL = 1e-10          # relative eigenvalue cutoff for the singular path
-NEG_PREC_TOL = 1e-8       # relative tolerance on leave-out precision eigenvalues
+RANK_TOL = 1e-10          # relative eigenvalue cutoff for the dropped eigenpairs
+NEG_PREC_TOL = 1e-8       # tolerance on the z-space leave-out precision eigenvalues
 DEGENERATE_VARIANCE = "degenerate leave-out variance for quadrature"
+NON_FINITE_CORRECTION = "non-finite Laplace correction"
 
 
 class DowndateError(RuntimeError):
@@ -45,10 +45,10 @@ class DowndateError(RuntimeError):
 class LeaveGroupMoments:
     """Moments of eta_I with y_I removed, plus what the Laplace ratio needs.
 
-    ``rank_path`` is "full" or "eigen".  On the eigen path the moments live
-    in the z-space spanned by B = V diag(sqrt(lambda)); ``log_ratio`` is
-    log piG(eta*_I | y_-I) - log piG(eta*_I | y) evaluated at the full-data
-    mean, computed on whichever support is proper.
+    The downdate runs in the z-space eta_I = mu_perp + B z of sigma_I's
+    nonzero eigenpairs, B = V diag(sqrt(lambda)); ``rank_path`` is "full"
+    when no eigenpair was dropped, "eigen" otherwise.  ``log_ratio`` is
+    log piG(eta*_I | y_-I) - log piG(eta*_I | y) at the full-data mean.
     """
 
     indices: np.ndarray
@@ -58,80 +58,73 @@ class LeaveGroupMoments:
     log_ratio: float
 
 
-def _log_gauss_dense(x, mean, sigma):
-    r = x - mean
-    cho = cho_factor(sigma)
-    logdet = 2.0 * np.sum(np.log(np.diag(cho[0])))
-    return -0.5 * (x.size * np.log(2 * np.pi) + logdet + r @ cho_solve(cho, r))
+def _downdate_stack(mu, sigma, cI, bI):
+    """Downdate a stack of k groups of s members each at once.
 
+    ``mu`` is (k, s), ``sigma`` (k, s, s), and ``cI``, ``bI`` (k, s) are the
+    groups' curvature and linearization.  A dropped eigenpair is a zero
+    column of B and a zero entry of mu_z, so it gives Qz = I and bz = 0 in
+    that dimension and adds 0 to ``log_ratio``; groups of different rank
+    share the stack.  Returns the leave-out ``mu`` and ``sigma``,
+    ``log_ratio``, whether each group kept full rank, and {row: reason} for
+    the groups that failed, whose ``log_ratio`` is nan.
+    """
+    s = mu.shape[1]
+    w, V = np.linalg.eigh(sigma)
+    keep = w > RANK_TOL * np.maximum(w[:, -1:], 0.0)    # none iff sigma_I = 0
+    lam = np.sqrt(np.where(keep, w, 0.0))
+    B = V * lam[:, None, :]                # eta = mu_perp + B z, z ~ N(mu_z, I)
+    Bt = B.transpose(0, 2, 1)
+    Vk = V * keep[:, None, :]
+    proj = (Vk.transpose(0, 2, 1) @ mu[..., None])[..., 0]
+    mu_z = np.divide(proj, lam, out=np.zeros_like(proj), where=keep)
+    mu_perp = mu - (Vk @ proj[..., None])[..., 0]
+    Qz = np.eye(s) - Bt @ (cI[..., None] * B)
+    bz = mu_z - (Bt @ (bI - cI * mu_perp)[..., None])[..., 0]
 
-def _check_leaveout_precision(Qm, scale):
-    w = np.linalg.eigvalsh(Qm)
-    if w.min() < -NEG_PREC_TOL * scale:
-        raise DowndateError(
-            f"leave-out precision has eigenvalue {w.min():.3e} "
-            f"(scale {scale:.3e}); observation skipped")
-    return np.maximum(w, 0.0)
+    w_min = np.linalg.eigvalsh(Qz)[:, 0]
+    ok = keep.any(axis=1) & ~(w_min < -NEG_PREC_TOL)
+    reasons = {int(j): "eta_I covariance is identically zero" if not keep[j].any()
+               else f"leave-out precision has eigenvalue {w_min[j]:.3e} "
+               "(scale 1.000e+00); observation skipped" for j in np.flatnonzero(~ok)}
+    L = np.zeros_like(Qz) + np.eye(s)      # a failed group keeps a unit factor
+    try:
+        L[ok] = np.linalg.cholesky(Qz[ok])
+    except np.linalg.LinAlgError:         # one group failed the whole stack
+        for j in np.flatnonzero(ok):
+            try:
+                L[j] = np.linalg.cholesky(Qz[j])
+            except np.linalg.LinAlgError as exc:
+                reasons[int(j)] = f"leave-out precision not positive definite: {exc}"
+                ok[j] = False
+
+    # L^{-1} [B' | bz]: B Qz^{-1} B' = W'W and B Qz^{-1} bz = W'y
+    X = np.linalg.solve(L, np.concatenate([Bt, bz[..., None]], axis=2))
+    Wt, y = X[..., :s].transpose(0, 2, 1), X[..., s:]
+    sigma_minus = Wt @ Wt.transpose(0, 2, 1)
+    # log_ratio = -0.5 (logdet Sigma_z + r' Qz r), r = mu_z - Qz^{-1} bz
+    t = (L.transpose(0, 2, 1) @ mu_z[..., None] - y)[..., 0]
+    log_ratio = np.where(ok, np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
+                         - 0.5 * np.sum(t * t, axis=1), np.nan)
+    return (mu_perp + (Wt @ y)[..., 0],
+            0.5 * (sigma_minus + sigma_minus.transpose(0, 2, 1)),
+            log_ratio, keep.all(axis=1), reasons)
 
 
 def downdate(em, ga, I=None):
     """Remove the group's likelihood information from the eta_I moments.
 
-    Full-rank covariance: invert to a precision, subtract the curvature
-    block C_I and the linearization b_I, invert back.  Singular covariance:
-    move to the z-space of the nonzero eigenpairs, downdate with
-    I - B'C_I B, and map back through B.
+    The z-space kernel on a stack of one (``compute_lgocv`` stacks every
+    group of one size): with eta_I = mu_perp + B z over sigma_I's nonzero
+    eigenpairs, the leave-out precision of z is I - B'C_I B.
     """
     I = em.indices if I is None else np.asarray(I, dtype=int)
-    mu, sigma = em.mu, em.sigma
-    cI = ga.c[I]
-    bI = ga.b[I]
-
-    w, V = np.linalg.eigh(sigma)
-    w_max = max(w.max(), 0.0)
-    if w_max <= 0.0:
-        raise DowndateError("eta_I covariance is identically zero")
-
-    if w.min() > RANK_TOL * w_max:
-        Q = V @ ((1.0 / w)[:, None] * V.T)
-        Qm = Q - np.diag(cI)
-        _check_leaveout_precision(Qm, np.linalg.eigvalsh(Q).max())
-        bm = Q @ mu - bI
-        try:
-            cho = cho_factor(Qm)
-        except np.linalg.LinAlgError as exc:
-            raise DowndateError(f"leave-out precision not positive definite: {exc}")
-        sigma_minus = cho_solve(cho, np.eye(len(I)))
-        sigma_minus = 0.5 * (sigma_minus + sigma_minus.T)
-        mu_minus = cho_solve(cho, bm)
-        log_ratio = (_log_gauss_dense(mu, mu_minus, sigma_minus)
-                     - _log_gauss_dense(mu, mu, sigma))
-        return LeaveGroupMoments(I, mu_minus, sigma_minus, "full", float(log_ratio))
-
-    keep = w > RANK_TOL * w_max
-    lam = np.sqrt(w[keep])
-    Vk = V[:, keep]
-    B = Vk * lam                           # eta = mu_perp + B z, z ~ N(mu_z, I)
-    mu_z = (Vk.T @ mu) / lam
-    mu_perp = mu - Vk @ (Vk.T @ mu)
-
-    Qz = np.eye(B.shape[1]) - B.T @ (cI[:, None] * B)
-    _check_leaveout_precision(Qz, 1.0)
-    bz = mu_z - B.T @ (bI - cI * mu_perp)
-    try:
-        cho = cho_factor(Qz)
-    except np.linalg.LinAlgError as exc:
-        raise DowndateError(f"leave-out precision not positive definite: {exc}")
-    sigma_z = cho_solve(cho, np.eye(B.shape[1]))
-    sigma_z = 0.5 * (sigma_z + sigma_z.T)
-    mu_z_minus = cho_solve(cho, bz)
-
-    mu_minus = mu_perp + B @ mu_z_minus
-    sigma_minus = B @ sigma_z @ B.T
-    log_ratio = (_log_gauss_dense(mu_z, mu_z_minus, sigma_z)
-                 - _log_gauss_dense(mu_z, mu_z, np.eye(B.shape[1])))
-    return LeaveGroupMoments(I, mu_minus, 0.5 * (sigma_minus + sigma_minus.T),
-                             "eigen", float(log_ratio))
+    mu, sigma, log_ratio, full, reasons = _downdate_stack(
+        em.mu[None], em.sigma[None], ga.c[I][None], ga.b[I][None])
+    if reasons:
+        raise DowndateError(reasons[0])
+    return LeaveGroupMoments(I, mu[0], sigma[0], "full" if full[0] else "eigen",
+                             float(log_ratio[0]))
 
 
 def theta_correction(lgm, em, ga, I=None):
@@ -140,7 +133,7 @@ def theta_correction(lgm, em, ga, I=None):
     I = lgm.indices if I is None else np.asarray(I, dtype=int)
     val = float(np.sum(ga.g[I])) + lgm.log_ratio
     if not np.isfinite(val):
-        raise DowndateError("non-finite Laplace correction")
+        raise DowndateError(NON_FINITE_CORRECTION)
     return val
 
 
@@ -333,8 +326,9 @@ class _ThetaScores:
 
 
 def _score_theta(model, ga, test, members, group_of, at, chunks, gh_order):
-    """Leave-group moments of every distinct group at one theta point, then
-    one quadrature over the test observations whose group downdated."""
+    """Leave-group moments of every distinct group at one theta point, one
+    kernel call per chunk and group size, then one quadrature over the test
+    observations whose group downdated."""
     offset = np.cumsum([0] + [I.size for I in members])
     loo_mu = np.zeros(offset[-1])
     loo_var = np.zeros(offset[-1])
@@ -342,17 +336,23 @@ def _score_theta(model, ga, test, members, group_of, at, chunks, gh_order):
     reasons, paths = {}, Counter()
     for ids, U, pos in chunks:
         em = eta_covariance(ga, U)
-        for g, p in zip(ids, pos):
-            sub = EtaMoments(members[g], em.mu[p], em.sigma[np.ix_(p, p)])
-            try:
-                lgm = downdate(sub, ga)
-                log_corr[g] = theta_correction(lgm, sub, ga)
-            except DowndateError as exc:
-                reasons[g] = str(exc)
-                continue
-            paths[lgm.rank_path] += 1
-            loo_mu[offset[g]:offset[g + 1]] = lgm.mu
-            loo_var[offset[g]:offset[g + 1]] = np.diag(lgm.sigma)
+        sizes = np.array([members[g].size for g in ids])
+        for s in np.unique(sizes):
+            sel = np.flatnonzero(sizes == s)
+            gs = np.asarray(ids)[sel]
+            P = np.array([pos[j] for j in sel])            # (k, s) in U
+            G = U[P]                                       # (k, s) observations
+            mu, sigma, log_ratio, full, why = _downdate_stack(
+                em.mu[P], em.sigma[P[:, :, None], P[:, None, :]], ga.c[G], ga.b[G])
+            corr = ga.g[G].sum(axis=1) + log_ratio
+            done = np.isfinite(corr)
+            for j in np.flatnonzero(~done):
+                reasons[gs[j]] = why.get(j, NON_FINITE_CORRECTION)
+            log_corr[gs[done]] = corr[done]
+            paths.update(full=int(full[done].sum()), eigen=int((~full[done]).sum()))
+            flat = offset[gs[done]][:, None] + np.arange(s)
+            loo_mu[flat] = mu[done]
+            loo_var[flat] = np.diagonal(sigma[done], axis1=1, axis2=2)
 
     flat = offset[group_of] + at
     mean, var = loo_mu[flat], loo_var[flat]
@@ -378,9 +378,9 @@ def compute_lgocv(model, grid, groups, gas=None, test_indices=None,
     deduplicated; per chunk of distinct groups whose member union spans at
     most ``RHS_BATCH`` columns, one multi-RHS solve gives the moments of
     eta_U, and each group's moments are its sub-block.  The downdate and
-    the theta correction then run once per distinct group, and one batched
-    Gauss-Hermite call scores every test observation.  ``threads`` runs
-    theta points in parallel.
+    the theta correction then run once per chunk and group size, and one
+    batched Gauss-Hermite call scores every test observation.  ``threads``
+    runs theta points in parallel.
 
     An observation whose group cannot be downdated, or whose leave-out
     variance is degenerate, at some theta point is skipped with the first

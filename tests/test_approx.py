@@ -1,3 +1,7 @@
+import logging
+import re
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -187,25 +191,34 @@ def test_grid_weights_sum_to_one():
     assert np.argmax(grid.log_posteriors) == int(np.argmax(grid.weights))
 
 
-def test_grid_symmetric_posterior_symmetric_weights(monkeypatch):
-    class Stub:
-        theta_dim = 1
+class StubModel:
+    """theta_dim hyperparameters and nothing else; pair with _stub_fits."""
 
-        def theta_init(self):
-            return np.array([0.3])
+    def __init__(self, theta_dim):
+        self.theta_dim = theta_dim
 
-        def log_hyper_prior(self, theta):
-            return 0.0
+    def theta_init(self):
+        return np.full(self.theta_dim, 0.3)
 
-        def hyper_point(self, theta):
-            from lgocv.model import HyperPoint
-            return HyperPoint(np.atleast_1d(theta))
+    def log_hyper_prior(self, theta):
+        return 0.0
 
-    monkeypatch.setattr(approx, "find_mode",
-                        lambda model, theta, tol=1e-8, **kw: np.atleast_1d(theta))
+    def hyper_point(self, theta):
+        from lgocv.model import HyperPoint
+        return HyperPoint(np.atleast_1d(theta))
+
+
+def _stub_fits(monkeypatch, log_post):
+    """Replace the mode fit by one Newton iteration that keeps theta."""
+    monkeypatch.setattr(approx, "find_mode", lambda model, theta, tol=1e-8, **kw:
+                        SimpleNamespace(theta=np.atleast_1d(theta), n_iter=1))
     monkeypatch.setattr(approx, "log_evidence",
-                        lambda model, ga: float(-20.0 * ga[0] ** 2))
-    grid = build_theta_grid(Stub(), GridConfig())
+                        lambda model, ga: float(log_post(ga.theta)))
+
+
+def test_grid_symmetric_posterior_symmetric_weights(monkeypatch):
+    _stub_fits(monkeypatch, lambda t: -20.0 * t[0] ** 2)
+    grid = build_theta_grid(StubModel(1), GridConfig())
     pts = np.array([hp.values[0] for hp in grid.points])
     assert abs(grid.mode.values[0]) <= 1e-6
     assert grid.weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -235,3 +248,55 @@ def test_grid_mixing_matches_fine_quadrature():
     w /= w.sum()
     oracle = float(w @ np.array(means))
     assert mix == pytest.approx(oracle, rel=1e-3)
+
+
+GRID_LINE = re.compile(r"grid: d=(\d+), (\d+) log-posterior evaluations, "
+                       r"(\d+) distinct fits, (\d+) Newton iterations, "
+                       r"(\d+) points kept, (\d+) dropped, "
+                       r"empirical-Bayes fallback (yes|no)$")
+
+
+def _grid_lines(caplog):
+    return [GRID_LINE.match(r.getMessage()) for r in caplog.records
+            if r.getMessage().startswith("grid:")]
+
+
+def test_grid_debug_line_reports_the_search(monkeypatch, caplog):
+    model = gaussian_multilevel(hyper=True)
+    quiet = build_theta_grid(model)
+    fits = []
+    find = approx.find_mode
+
+    def counted(*args, **kwargs):
+        ga = find(*args, **kwargs)
+        fits.append(ga.n_iter)
+        return ga
+
+    monkeypatch.setattr(approx, "find_mode", counted)
+    with caplog.at_level(logging.DEBUG, logger="lgocv.approx"):
+        grid = build_theta_grid(model)
+    (line,) = _grid_lines(caplog)
+    d, evals, distinct, newton, kept, dropped = map(int, line.groups()[:6])
+    assert line.group(7) == "no"
+    assert (d, distinct, newton, kept) == (1, len(fits), sum(fits), len(grid))
+    assert evals > distinct
+    config = GridConfig()
+    half = int(np.ceil(np.sqrt(2 * config.drop_thresh) / config.step)) + 1
+    assert dropped == 2 * half + 1 - kept and dropped > 0
+    # reporting only: the same grid as without the debug line
+    assert [hp.values.tolist() for hp in grid.points] == \
+        [hp.values.tolist() for hp in quiet.points]
+    assert np.array_equal(grid.log_posteriors, quiet.log_posteriors)
+
+
+def test_grid_debug_line_reports_the_fallback(monkeypatch, caplog):
+    with caplog.at_level(logging.DEBUG, logger="lgocv.approx"):
+        build_theta_grid(iid_identity_model(3))
+        _stub_fits(monkeypatch, lambda t: -np.sum((t - 1.0) ** 2))
+        grid = build_theta_grid(StubModel(5))
+    zero, five = _grid_lines(caplog)
+    assert zero.groups() == ("0", "0", "0", "0", "1", "0", "no")
+    assert len(grid) == 1
+    d, evals, distinct, newton, kept, dropped = map(int, five.groups()[:6])
+    assert (d, kept, dropped, five.group(7)) == (5, 1, 0, "yes")
+    assert newton == distinct and evals >= distinct > 0

@@ -4,12 +4,13 @@ import logging
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import norm
 
 from lgocv import engine, simulate
 from lgocv.approx import build_theta_grid, find_mode
-from lgocv.components import Iid
-from lgocv.covariance import eta_covariance
+from lgocv.components import Besag, FixedEffects, Iid
+from lgocv.covariance import EtaMoments, eta_covariance
 from lgocv.engine import (DowndateError, LeaveGroupMoments, compute_lgocv,
                           compute_loocv, downdate, fit_grid_approximations,
                           gh_log_predictive, predictive_density,
@@ -306,15 +307,16 @@ def test_degenerate_variance_skips_in_the_batch(multilevel_fit, monkeypatch):
     model, grid, gas, groups, test = multilevel_fit
     good = compute_lgocv(model, grid, groups, gas=gas, test_indices=test)
     I = groups[test[0]]
+    kernel = engine._downdate_stack
 
-    def zero_variance(em, ga):
-        lgm = downdate(em, ga)
-        if ga is gas[0] and np.array_equal(em.indices, I):
-            return LeaveGroupMoments(lgm.indices, lgm.mu, 0.0 * lgm.sigma,
-                                     lgm.rank_path, lgm.log_ratio)
-        return lgm
+    def zero_variance(mu, sigma, cI, bI):
+        out = kernel(mu, sigma, cI, bI)
+        # the rows holding group I at the first theta point
+        hit = (cI == gas[0].c[I]).all(axis=1) & (bI == gas[0].b[I]).all(axis=1)
+        out[1][hit] = 0.0
+        return out
 
-    monkeypatch.setattr(engine, "downdate", zero_variance)
+    monkeypatch.setattr(engine, "_downdate_stack", zero_variance)
     res = compute_lgocv(model, grid, groups, gas=gas, test_indices=test)
     sharing = [i for i in test if i in I]
     assert res.skipped == [(i, engine.DEGENERATE_VARIANCE) for i in sharing]
@@ -384,3 +386,226 @@ def test_no_test_observations_gives_nan_utility():
     res = compute_lgocv(model, grid, singleton_groups([]), test_indices=[])
     assert res.indices.size == 0 and res.density.size == 0
     assert np.isnan(res.utility) and np.isnan(res.skipped_frac)
+
+
+# -- the stacked z-space kernel ----------------------------------------------
+
+def _log_gauss_dense(x, mean, sigma):
+    r = x - mean
+    cho = cho_factor(sigma)
+    logdet = 2.0 * np.sum(np.log(np.diag(cho[0])))
+    return -0.5 * (x.size * np.log(2 * np.pi) + logdet + r @ cho_solve(cho, r))
+
+
+def _check_leaveout_precision(Qm, scale):
+    w = np.linalg.eigvalsh(Qm)
+    if w.min() < -engine.NEG_PREC_TOL * scale:
+        raise DowndateError(f"leave-out precision has eigenvalue {w.min():.3e} "
+                            f"(scale {scale:.3e}); observation skipped")
+
+
+def reference_downdate(em, ga):
+    """The two-branch, one-group downdate the kernel replaced: a precision
+    path for full-rank covariances and a z-space path for singular ones."""
+    I, mu, sigma = em.indices, em.mu, em.sigma
+    cI, bI = ga.c[I], ga.b[I]
+    w, V = np.linalg.eigh(sigma)
+    w_max = max(w.max(), 0.0)
+    if w.min() > engine.RANK_TOL * w_max:
+        Q = V @ ((1.0 / w)[:, None] * V.T)
+        Qm = Q - np.diag(cI)
+        _check_leaveout_precision(Qm, np.linalg.eigvalsh(Q).max())
+        cho = cho_factor(Qm)
+        sigma_minus = cho_solve(cho, np.eye(len(I)))
+        sigma_minus = 0.5 * (sigma_minus + sigma_minus.T)
+        mu_minus = cho_solve(cho, Q @ mu - bI)
+        log_ratio = (_log_gauss_dense(mu, mu_minus, sigma_minus)
+                     - _log_gauss_dense(mu, mu, sigma))
+        return LeaveGroupMoments(I, mu_minus, sigma_minus, "full", log_ratio)
+
+    keep = w > engine.RANK_TOL * w_max
+    lam = np.sqrt(w[keep])
+    Vk = V[:, keep]
+    B = Vk * lam
+    mu_z = (Vk.T @ mu) / lam
+    mu_perp = mu - Vk @ (Vk.T @ mu)
+    Qz = np.eye(B.shape[1]) - B.T @ (cI[:, None] * B)
+    _check_leaveout_precision(Qz, 1.0)
+    cho = cho_factor(Qz)
+    sigma_z = cho_solve(cho, np.eye(B.shape[1]))
+    sigma_z = 0.5 * (sigma_z + sigma_z.T)
+    mu_z_minus = cho_solve(cho, mu_z - B.T @ (bI - cI * mu_perp))
+    sigma_minus = B @ sigma_z @ B.T
+    log_ratio = (_log_gauss_dense(mu_z, mu_z_minus, sigma_z)
+                 - _log_gauss_dense(mu_z, mu_z, np.eye(B.shape[1])))
+    return LeaveGroupMoments(I, mu_perp + B @ mu_z_minus,
+                             0.5 * (sigma_minus + sigma_minus.T), "eigen",
+                             log_ratio)
+
+
+def _stack(items):
+    """Kernel inputs for a list of (ga, I) of one group size."""
+    ems = [eta_covariance(ga, I) for ga, I in items]
+    return (np.array([em.mu for em in ems]), np.array([em.sigma for em in ems]),
+            np.array([ga.c[I] for ga, I in items]),
+            np.array([ga.b[I] for ga, I in items]))
+
+
+def _ar1_scenario(n=60):
+    data = {k: v[:n] for k, v in simulate.simulate_ar1(0).items()}
+    return simulate.ar1_model(data)
+
+
+def _besag_lattice(side=5):
+    adj = [set() for _ in range(side * side)]
+    for i in range(side * side):
+        r, c = divmod(i, side)
+        for j in ([i + 1] if c + 1 < side else []) + \
+                 ([i + side] if r + 1 < side else []):
+            adj[i].add(j)
+            adj[j].add(i)
+    n = side * side
+    rng = np.random.default_rng(2)
+    offset = rng.uniform(5.0, 20.0, size=n)
+    y = rng.poisson(offset * np.exp(0.3 * np.sin(np.arange(n)))).astype(float)
+    A = sp.hstack([sp.csr_matrix(np.ones((n, 1))), sp.identity(n, format="csr")],
+                  format="csr")
+    return LgmModel([FixedEffects("intercept", 1, prec=1e-4),
+                     Besag("spatial", adj, log_prec=0.5)],
+                    A, Poisson(offset=offset), y)
+
+
+def _rank_deficient(ga_ml, size):
+    """Multilevel groups of ``size`` members from one class (rank 1) and
+    from two classes (rank 2); 10 observations per class."""
+    return [(ga_ml, np.arange(10, 10 + size)),
+            (ga_ml, np.concatenate([np.arange(20, 20 + size - size // 2),
+                                    np.arange(50, 50 + size // 2)]))]
+
+
+@pytest.mark.parametrize("case", ["multilevel", "ar1", "besag"])
+def test_kernel_matches_the_two_branch_reference(multilevel_fit, case):
+    model, grid, gas, groups, test = multilevel_fit
+    ga_ml = gas[len(gas) // 2]
+    if case == "multilevel":
+        configs = [(ga_ml, groups, 1)]
+        # classes (rank 1) and ten observations from ten classes (full rank)
+        extra = [(ga_ml, np.arange(c, 100, 10)) for c in range(3)]
+    else:
+        other = _ar1_scenario() if case == "ar1" else _besag_lattice()
+        name = "trend" if case == "ar1" else "spatial"
+        ga = fitted(other)
+        source = CorrelationSource("prior", (name,))
+        configs = [(ga, build_groups(source, ga, m=m), m) for m in (1, 2, 3)]
+        extra = []
+    for ga, spec, m in configs:
+        items = [(ga, np.asarray(spec[i])) for i in spec.indices()]
+        by_size = {}
+        for it in items + extra:
+            by_size.setdefault(it[1].size, []).append(it)
+        for size, stack in by_size.items():
+            if size > 1:
+                stack = stack + _rank_deficient(ga_ml, size)
+            mu, sigma, log_ratio, full, why = engine._downdate_stack(*_stack(stack))
+            assert not why
+            refs = [reference_downdate(eta_covariance(g, I), g) for g, I in stack]
+            assert list(full) == [r.rank_path == "full" for r in refs]
+            if size > 1:
+                assert full.any() and not full.all()
+            for j, ref in enumerate(refs):
+                np.testing.assert_allclose(mu[j], ref.mu, rtol=0, atol=1e-10)
+                np.testing.assert_allclose(sigma[j], ref.sigma, rtol=0, atol=1e-10)
+                assert abs(log_ratio[j] - ref.log_ratio) <= 1e-10
+
+
+def test_kernel_isolates_a_failing_group(multilevel_fit):
+    model, grid, gas, groups, test = multilevel_fit
+    j = 30
+    bad = _inflated(gas[1], j, 1e4)
+    classes = [np.arange(c, c + 10) for c in range(0, 100, 10)]
+    with_bad = engine._downdate_stack(*_stack([(bad, I) for I in classes]))
+    without = engine._downdate_stack(
+        *_stack([(bad, I) for I in classes if j not in I]))
+    with pytest.raises(DowndateError) as single:
+        downdate(eta_covariance(bad, classes[3]), bad)
+    assert with_bad[4] == {3: str(single.value)}
+    assert np.isnan(with_bad[2][3])
+    rest = [g for g in range(10) if g != 3]
+    for a, b in zip(with_bad[:4], without[:4]):
+        assert np.array_equal(a[rest], b)
+    assert without[4] == {}
+
+
+def test_cholesky_failure_falls_back_to_single_groups(multilevel_fit,
+                                                      monkeypatch):
+    model, grid, gas, groups, test = multilevel_fit
+    ga = gas[0]
+    mu, sigma, cI, bI = _stack([(ga, np.arange(c, 100, 10)) for c in range(4)])
+    # unit covariance, curvature just above one in its first member: the
+    # leave-out precision has eigenvalue -1e-9, inside NEG_PREC_TOL, so only
+    # the Cholesky factorization can reject it
+    mu_b = np.concatenate([mu[:2], np.zeros((1, 10)), mu[2:]])
+    sigma_b = np.concatenate([sigma[:2], np.eye(10)[None], sigma[2:]])
+    c_row = np.full(10, 0.5)
+    c_row[0] = 1.0 + 1e-9
+    cI_b = np.concatenate([cI[:2], c_row[None], cI[2:]])
+    bI_b = np.concatenate([bI[:2], np.zeros((1, 10)), bI[2:]])
+
+    calls = []
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    out = engine._downdate_stack(mu_b, sigma_b, cI_b, bI_b)
+    assert calls[0] == (5, 10, 10) and calls[1:] == [(10, 10)] * 5
+    assert list(out[4]) == [2]
+    assert out[4][2].startswith("leave-out precision not positive definite: ")
+    assert np.isnan(out[2][2])
+
+    calls.clear()
+    clean = engine._downdate_stack(mu, sigma, cI, bI)
+    assert calls == [(4, 10, 10)] and clean[4] == {}
+    for a, b in zip(out[:4], clean[:4]):
+        assert np.array_equal(np.delete(a, 2, axis=0), b)
+
+    em = EtaMoments(np.arange(10), np.zeros(10), np.eye(10))
+    one = copy.copy(ga)
+    one.c = ga.c.copy()
+    one.c[:10] = c_row
+    with pytest.raises(DowndateError, match="not positive definite"):
+        downdate(em, one)
+
+
+@pytest.mark.parametrize("columns", [12, None], ids=["chunked", "one_chunk"])
+def test_mixed_sizes_match_one_at_a_time(monkeypatch, columns):
+    model = _ar1_scenario()
+    grid = build_theta_grid(model)
+    gas = fit_grid_approximations(model, grid)
+    groups = build_groups(CorrelationSource("prior", ("trend",)), gas[0], m=3)
+    test = list(range(0, 4)) + list(range(40, 60))
+    assert len({len(groups[i]) for i in test}) >= 3
+    want = _one_at_a_time(model, grid, gas, groups, test)
+
+    stacks, unions = [], []
+    kernel = engine._downdate_stack
+
+    def counted_kernel(mu, *args):
+        stacks.append(mu.shape)
+        return kernel(mu, *args)
+
+    def counted_cov(ga, I):
+        unions.append(len(I))
+        return eta_covariance(ga, I)
+
+    monkeypatch.setattr(engine, "_downdate_stack", counted_kernel)
+    monkeypatch.setattr(engine, "eta_covariance", counted_cov)
+    if columns is not None:
+        monkeypatch.setattr(engine, "RHS_BATCH", columns)
+    res = compute_lgocv(model, grid, groups, gas=gas, test_indices=test)
+    assert not res.skipped and list(res.indices) == test
+    np.testing.assert_allclose(res.density, want, rtol=1e-12, atol=0)
+    assert len(stacks) > len(unions) and max(unions) <= engine.RHS_BATCH
+    assert sum(k for k, _ in stacks) == len({tuple(groups[i]) for i in test})
