@@ -12,6 +12,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 import itertools
 import logging
+from typing import NamedTuple
+import weakref
 
 import numpy as np
 import scipy.sparse as sp
@@ -32,17 +34,113 @@ class FactorizationError(RuntimeError):
 
 
 def _splu(Q):
+    """Sparse LU of a CSC matrix Q and the diagonal of its U factor,
+    checked finite."""
     try:
-        lu = spla.splu(sp.csc_matrix(Q))
+        lu = spla.splu(Q)
     except RuntimeError as exc:
         raise FactorizationError(f"sparse factorization failed: {exc}") from exc
-    if not np.all(np.isfinite(lu.U.diagonal())):
+    pivots = lu.U.diagonal()
+    if not np.all(np.isfinite(pivots)):
         raise FactorizationError("factorization produced non-finite pivots")
-    return lu
+    return lu, pivots
 
 
-def _logdet_from_lu(lu):
-    return float(np.sum(np.log(np.abs(lu.U.diagonal()))))
+def _unique(codes):
+    """Sorted distinct codes and the index of each code among them.
+
+    ``np.unique(codes, return_inverse=True)`` by one stable sort; numpy's
+    own (hash-based in numpy 2) is many times slower on these arrays.
+    """
+    order = np.argsort(codes, kind="stable")
+    ordered = codes[order]
+    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    inverse = np.empty(codes.size, dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first], inverse
+
+
+class _DesignTerms:
+    """Every product a_ij c_i a_ik of A' diag(c) A, for one CSR design A.
+
+    Row i contributes one term per ordered pair (j, k) of its stored
+    entries, and the terms run in ascending i: the order in which scipy's
+    sparse product sums them.  ``codes`` are the distinct output positions
+    k p + j (column-major) and ``inverse`` maps each term to its position.
+    """
+
+    def __init__(self, A):
+        n, self.p = A.shape
+        k = np.diff(A.indptr)
+        pairs = k * k
+        start = np.repeat(A.indptr[:-1], pairs)
+        width = np.repeat(k, pairs)
+        t = np.arange(pairs.sum()) - np.repeat(np.cumsum(pairs) - pairs, pairs)
+        first, second = start + t // width, start + t % width
+        self.rows = np.repeat(np.arange(n), pairs)
+        self.a_j, self.a_k = A.data[first], A.data[second]
+        codes = A.indices[second].astype(np.int64) * self.p + A.indices[first]
+        self.codes, self.inverse = _unique(codes)
+
+
+# A memo of a function of the (immutable) model, dropped with the model.
+_DESIGN_TERMS = weakref.WeakKeyDictionary()
+
+
+def _design_terms(model):
+    """The model's ``_DesignTerms``, built on its first fit."""
+    terms = _DESIGN_TERMS.get(model)
+    if terms is None:
+        terms = _DESIGN_TERMS[model] = _DesignTerms(model.design)
+    return terms
+
+
+class _Hessian:
+    """Q(c) = P + A' diag(c) A on the union of P's pattern and the terms'.
+
+    Each entry is scipy's ``(P + A.T @ sp.diags(c) @ A)``: the products
+    (a_ij c_i) a_ik summed in ascending i, then P added, and exact zeros
+    dropped.  The result is that matrix with its indices sorted, which is
+    the form ``splu`` factorizes.
+    """
+
+    def __init__(self, terms, P):
+        p = terms.p
+        P = P.tocoo()
+        union, at = _unique(np.concatenate(
+            [terms.codes, P.col.astype(np.int64) * p + P.row]))
+        n_terms = terms.codes.size
+        self.terms = terms
+        self.pos = at[:n_terms][terms.inverse]
+        # P's entries summed in storage order, as scipy's sum adds them
+        self.p_data = np.bincount(at[n_terms:], weights=P.data,
+                                  minlength=union.size)
+        self.indices = (union % p).astype(np.int32)
+        self.indptr = np.searchsorted(union // p, np.arange(p + 1)).astype(np.int32)
+
+    def __call__(self, c):
+        t = self.terms
+        data = np.bincount(self.pos, weights=(t.a_j * c[t.rows]) * t.a_k,
+                           minlength=self.p_data.size) + self.p_data
+        Q = sp.csc_matrix((data, self.indices, self.indptr), shape=(t.p, t.p))
+        if not data.all():
+            Q = Q.copy()               # eliminate_zeros edits the pattern in place
+            Q.eliminate_zeros()
+        return Q
+
+
+class _Linearization(NamedTuple):
+    """The quadratic model of the log posterior at one point."""
+
+    c: np.ndarray               # -g''(eta), clipped at 0
+    b: np.ndarray               # g'(eta) - g''(eta) eta
+    lu: object                  # LU of Q = P + A' diag(c) A
+    pivots: np.ndarray          # diagonal of U
+    mu_unc: np.ndarray          # Q^{-1} A' b
+    mu: np.ndarray              # mu_unc kriged onto the constraints
+    constraint_w: object        # Q^{-1} C', or None without constraints
+    constraint_gram: object     # C Q^{-1} C'
+    constraint_cho: object      # Cholesky factor of the Gram
 
 
 class GaussianApprox:
@@ -50,34 +148,28 @@ class GaussianApprox:
 
     Holds the constrained mode ``mu``, the factorized posterior precision
     Q_f = P_f + A' C A, the linearization (b, c) at the mode, and the
-    precomputed constraint solves shared by every group.  Immutable once
-    published; concurrent read-only use is safe.
+    precomputed constraint solves shared by every group.  ``n_iter`` and
+    ``n_lu`` count the Newton iterations and sparse LU factorizations of
+    the fit.  Immutable once published; concurrent read-only use is safe.
     """
 
-    def __init__(self, model, theta, mu, mu_unc, lu, b, c, g, P, n_iter):
+    def __init__(self, model, theta, lin, g, P, n_iter, n_lu):
         self.model = model
         self.theta = theta
-        self.mu = mu                    # constrained latent mean
-        self.mu_unc = mu_unc            # unconstrained quadratic-model mean
-        self.b = b                      # g'(eta*) - g''(eta*) eta*
-        self.c = c                      # -g''(eta*), curvature diagonal
+        self.mu = lin.mu                # constrained latent mean
+        self.mu_unc = lin.mu_unc        # unconstrained quadratic-model mean
+        self.b = lin.b                  # g'(eta*) - g''(eta*) eta*
+        self.c = lin.c                  # -g''(eta*), curvature diagonal
         self.g = g                      # log likelihood values at the mode
         self.P = P
         self.n_iter = n_iter
-        self._lu = lu
-        self.eta_star = model.design @ mu
-        self.log_det_q = _logdet_from_lu(lu)
-
-        if model.constraints is not None:
-            C, e = model.constraints
-            self.constraint_w = lu.solve(C.T)                 # Q^{-1} C'
-            gram = C @ self.constraint_w                      # C Q^{-1} C'
-            self.constraint_gram = gram
-            self.constraint_cho = cho_factor(gram)
-        else:
-            self.constraint_w = None
-            self.constraint_gram = None
-            self.constraint_cho = None
+        self.n_lu = n_lu
+        self._lu = lin.lu
+        self.eta_star = model.design @ lin.mu
+        self.log_det_q = float(np.sum(np.log(np.abs(lin.pivots))))
+        self.constraint_w = lin.constraint_w
+        self.constraint_gram = lin.constraint_gram
+        self.constraint_cho = lin.constraint_cho
 
     def solve(self, rhs):
         """Q_f x = rhs for one or many right-hand sides."""
@@ -103,23 +195,24 @@ def _feasible_start(model):
     return C.T @ np.linalg.solve(C @ C.T, e)
 
 
-def _linearize(P, A, C_e, eta, g1, g2):
+def _linearize(hessian, At, C_e, eta, g1, g2):
     """Quadratic model of the log posterior at eta, factorized and solved.
 
-    Returns the curvature c, the linear term b, the LU of Q = P + A' diag(c) A,
-    the unconstrained maximizer mu_unc and its kriged projection mu onto the
-    constraints ``C_e``.
+    Factorizes Q = ``hessian(c)``, solves Q mu_unc = A' b (``At`` is A')
+    and kriges mu_unc onto the constraints ``C_e``.
     """
     c = np.maximum(-g2, 0.0)
     b = g1 - g2 * eta
-    lu = _splu((P + (A.T @ sp.diags(c) @ A)).tocsc())
-    mu_unc = lu.solve(A.T @ b)
-    mu = mu_unc
-    if C_e is not None:
-        C, e = C_e
-        W = lu.solve(C.T)
-        mu = mu_unc - W @ cho_solve(cho_factor(C @ W), C @ mu_unc - e)
-    return c, b, lu, mu_unc, mu
+    lu, pivots = _splu(hessian(c))
+    mu_unc = lu.solve(At @ b)
+    if C_e is None:
+        return _Linearization(c, b, lu, pivots, mu_unc, mu_unc, None, None, None)
+    C, e = C_e
+    W = lu.solve(C.T)
+    gram = C @ W
+    cho = cho_factor(gram)
+    mu = mu_unc - W @ cho_solve(cho, C @ mu_unc - e)
+    return _Linearization(c, b, lu, pivots, mu_unc, mu, W, gram, cho)
 
 
 def find_mode(model, theta, init=None, tol=1e-8, max_iter=100):
@@ -127,6 +220,8 @@ def find_mode(model, theta, init=None, tol=1e-8, max_iter=100):
     theta = theta if hasattr(theta, "values") else model.hyper_point(theta)
     A = model.design
     P = model.prior_precision(theta)
+    hessian = _Hessian(_design_terms(model), P)
+    At = A.T
     C_e = model.constraints
 
     f = np.array(init, dtype=float) if init is not None else _feasible_start(model)
@@ -135,7 +230,7 @@ def find_mode(model, theta, init=None, tol=1e-8, max_iter=100):
     obj = -0.5 * f @ (P @ f) + g.sum()
 
     for it in range(1, max_iter + 1):
-        mu = _linearize(P, A, C_e, eta, g1, g2)[-1]
+        mu = _linearize(hessian, At, C_e, eta, g1, g2).mu
         step = mu - f
         alpha = 1.0
         for _ in range(40):
@@ -153,11 +248,12 @@ def find_mode(model, theta, init=None, tol=1e-8, max_iter=100):
         f, eta, obj = f_new, eta_new, obj_new
         g, g1, g2 = g_new, g1_new, g2_new
         if delta <= tol:
-            # refresh the linearization at the accepted point
-            c, b, lu, mu_unc, mu = _linearize(P, A, C_e, eta, g1, g2)
-            g_m = model.loglik(theta, A @ mu)
-            return GaussianApprox(model, theta, mu, mu_unc, lu,
-                                  b=b, c=c, g=g_m, P=P, n_iter=it)
+            # refresh the linearization at the accepted point: one LU per
+            # Newton step plus this one
+            lin = _linearize(hessian, At, C_e, eta, g1, g2)
+            g_m = model.loglik(theta, A @ lin.mu)
+            return GaussianApprox(model, theta, lin, g=g_m, P=P, n_iter=it,
+                                  n_lu=it + 1)
 
     raise ModeFindingError(f"Newton did not converge in {max_iter} iterations "
                            f"(theta={np.asarray(theta.values)})")
@@ -202,7 +298,7 @@ def log_evidence(model, ga):
         corr += _log_gauss(e, C @ ga.mu_unc, ga.constraint_cho, ld, k)
         if not model.has_intrinsic:
             # prior: subtract log N(e; 0, C P^{-1} C')
-            lu_p = _splu(ga.P)
+            lu_p, _ = _splu(ga.P)
             gram_p = C @ lu_p.solve(C.T)
             sign_p, ld_p = np.linalg.slogdet(gram_p)
             if sign_p <= 0:
@@ -223,69 +319,94 @@ class GridConfig:
 
 @dataclass(frozen=True)
 class ThetaGrid:
-    """Integration grid over the hyperparameter posterior."""
+    """Integration grid over the hyperparameter posterior.
+
+    ``fits`` holds the ``GaussianApprox`` of each point, in point order, as
+    ``build_theta_grid`` fitted them for its model.  It is None for a grid
+    that carries no fits: one without free hyperparameters, or one restored
+    from saved state.
+    """
 
     points: tuple            # HyperPoint per grid node
     log_posteriors: np.ndarray
     weights: np.ndarray
     mode: "HyperPoint"
+    fits: tuple | None = field(default=None, repr=False, compare=False)
 
     def __len__(self):
         return len(self.points)
-
-
-def _log_posterior_fn(model, fit_cache, tol, stats):
-    def lp(theta):
-        stats["evaluations"] += 1
-        key = tuple(np.round(np.atleast_1d(theta), 12))
-        if key not in fit_cache:
-            ga = find_mode(model, theta, tol=tol)
-            stats["newton_iters"] += ga.n_iter
-            fit_cache[key] = log_evidence(model, ga) + model.log_hyper_prior(theta)
-        return fit_cache[key]
-    return lp
 
 
 def build_theta_grid(model, config=None):
     """Locate the mode of pi(theta | y) and lay an axis-aligned grid around it.
 
     With no free hyperparameters the grid degenerates to a single point of
-    weight one.  Above four dimensions only the mode is used (empirical
-    Bayes), mirroring the cost blow-up of dense grids.  Each call logs one
-    debug line: d, the log-posterior evaluations, the distinct fits and
-    their Newton iterations, the points kept and dropped, and whether the
-    empirical-Bayes fallback was taken.
+    weight one and carries no fit.  Above four dimensions only the mode is
+    used (empirical Bayes), mirroring the cost blow-up of dense grids.
+
+    The Nelder-Mead search and the finite-difference Hessian fit every
+    theta cold, and the mode keeps the best search fit.  The other grid
+    points are fitted in order of |z|_1, each warm-started from the latent
+    mode of a kept neighbour one step nearer the centre (or of the centre),
+    and the grid keeps the fits of the points it keeps.  Each call logs one debug
+    line: d, the log-posterior evaluations, the fits (warm-started ones
+    among them), their Newton iterations and LU factorizations, the points
+    kept and dropped, and whether the empirical-Bayes fallback was taken.
     """
     config = config or GridConfig()
     d = model.theta_dim
-    cache, stats = {}, Counter()
+    cache, stats, best = {}, Counter(), {}
 
     def report(kept, dropped, fallback):
-        log.debug("grid: d=%d, %d log-posterior evaluations, %d distinct fits, "
-                  "%d Newton iterations, %d points kept, %d dropped, "
+        log.debug("grid: d=%d, %d log-posterior evaluations, %d distinct fits "
+                  "(%d warm-started), %d Newton iterations, "
+                  "%d LU factorizations, %d points kept, %d dropped, "
                   "empirical-Bayes fallback %s", d, stats["evaluations"],
-                  len(cache), stats["newton_iters"], kept, dropped,
-                  "yes" if fallback else "no")
+                  stats["fits"], stats["warm"], stats["newton_iters"],
+                  stats["lu"], kept, dropped, "yes" if fallback else "no")
 
     if d == 0:
         hp = model.hyper_point(np.zeros(0))
         report(1, 0, False)
         return ThetaGrid((hp,), np.zeros(1), np.ones(1), hp)
 
-    lp = _log_posterior_fn(model, cache, tol=1e-8, stats=stats)
+    def fit(theta, init=None):
+        ga = find_mode(model, theta, init=init, tol=1e-8)
+        stats["fits"] += 1
+        stats["warm"] += init is not None
+        stats["newton_iters"] += ga.n_iter
+        stats["lu"] += ga.n_lu
+        return ga, log_evidence(model, ga) + model.log_hyper_prior(theta)
 
-    res = minimize(lambda t: -lp(t), model.theta_init(), method="Nelder-Mead",
+    def key(theta):
+        return tuple(np.round(np.atleast_1d(theta), 12))
+
+    def lp(theta, search=False):
+        """Log posterior from a cold fit, cached by theta; during the
+        search, ``best`` holds the best fit so far."""
+        stats["evaluations"] += 1
+        k = key(theta)
+        if k not in cache:
+            ga, cache[k] = fit(theta)
+            if search and (not best or cache[k] > best["value"]):
+                best.update(value=cache[k], key=k, fit=ga)
+        return cache[k]
+
+    res = minimize(lambda t: -lp(t, search=True), model.theta_init(),
+                   method="Nelder-Mead",
                    options={"xatol": config.opt_tol, "fatol": 1e-10,
                             "maxiter": config.max_opt_iter * d})
     if not res.success and res.status != 2:    # status 2: maxiter, still usable
         raise ModeFindingError(f"theta optimization failed: {res.message}")
     theta_star = np.atleast_1d(res.x)
     lp_star = lp(theta_star)
+    # Nelder-Mead returns its best evaluated point, whose fit ``best`` holds
+    ga_star = best["fit"] if best["key"] == key(theta_star) else fit(theta_star)[0]
 
     if d > 4:
         hp = model.hyper_point(theta_star)
         report(1, 0, True)
-        return ThetaGrid((hp,), np.array([lp_star]), np.ones(1), hp)
+        return ThetaGrid((hp,), np.array([lp_star]), np.ones(1), hp, (ga_star,))
 
     # central-difference Hessian of the log posterior at the mode
     h = config.hess_step * (1.0 + np.abs(theta_star))
@@ -308,19 +429,30 @@ def build_theta_grid(model, config=None):
 
     half_width = int(np.ceil(np.sqrt(2 * config.drop_thresh) / config.step)) + 1
     offsets = range(-half_width, half_width + 1)
-    pts, lps, dropped = [], [], 0
-    for z in itertools.product(offsets, repeat=d):
-        z = np.array(z, dtype=float)
-        theta = theta_star + config.step * (axes @ z)
-        val = lp_star if not z.any() else lp(theta)
+    grid = list(itertools.product(offsets, repeat=d))
+    centre = (0,) * d
+    kept = {}                          # z -> (theta, fit, log posterior)
+    dropped = 0
+    for z in sorted(grid, key=lambda z: sum(map(abs, z))):
+        theta = theta_star + config.step * (axes @ np.array(z, dtype=float))
+        if z == centre:
+            kept[z] = (theta, ga_star, lp_star)
+            continue
+        nearer = (z[:i] + (z[i] - (1 if z[i] > 0 else -1),) + z[i + 1:]
+                  for i in range(d) if z[i])
+        init = next((kept[n][1] for n in nearer if n in kept), ga_star).mu
+        stats["evaluations"] += 1
+        ga, val = fit(theta, init)
         if val >= lp_star - config.drop_thresh:
-            pts.append(model.hyper_point(theta))
-            lps.append(val)
+            kept[z] = (theta, ga, val)
         else:
             dropped += 1
-    report(len(pts), dropped, False)
+    report(len(kept), dropped, False)
 
-    lps = np.array(lps)
+    points = [kept[z] for z in grid if z in kept]
+    lps = np.array([val for _, _, val in points])
     wts = np.exp(lps - lps.max())
     wts /= wts.sum()
-    return ThetaGrid(tuple(pts), lps, wts, model.hyper_point(theta_star))
+    return ThetaGrid(tuple(model.hyper_point(theta) for theta, _, _ in points),
+                     lps, wts, model.hyper_point(theta_star),
+                     tuple(ga for _, ga, _ in points))

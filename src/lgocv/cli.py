@@ -71,10 +71,19 @@ def _write_theta_grid_csv(path, grid):
             fh.write(f"{vals},{float(lp)!r},{float(w)!r}\n")
 
 
+def _mode_fit(model, grid):
+    """The fit at the theta mode: the grid's own, or a fresh one for a grid
+    that carries no fits."""
+    for hp, ga in zip(grid.points, grid.fits or ()):
+        if np.array_equal(hp.values, grid.mode.values):
+            return ga
+    return find_mode(model, grid.mode)
+
+
 def cmd_fit(args):
     model = _load(args)
     grid = build_theta_grid(model, _grid_config(args))
-    ga = find_mode(model, grid.mode)
+    ga = _mode_fit(model, grid)
 
     os.makedirs(args.out, exist_ok=True)
     _write_theta_grid_csv(os.path.join(args.out, "theta_grid.csv"), grid)
@@ -130,7 +139,7 @@ def _source(args):
 def cmd_groups(args):
     model = _load(args)
     grid = _grid_for(args, model)
-    ga = find_mode(model, grid.mode)
+    ga = _mode_fit(model, grid)
     indices = (_parse_test_range(args.test_range, model.n_obs)
                if args.test_range else None)
     spec = build_groups(_source(args), ga, args.m, tie_tol=args.tie_tol,

@@ -266,9 +266,17 @@ def predictive_density(model, gas, grid, i, groups, gh_order=DEFAULT_GH_ORDER):
     return float(res.density[0])
 
 
-def fit_grid_approximations(model, grid, tol=1e-8):
-    """One converged GaussianApprox per theta grid point."""
-    return [find_mode(model, hp, tol=tol) for hp in grid.points]
+def fit_grid_approximations(model, grid):
+    """One converged GaussianApprox per theta grid point.
+
+    These are the grid's own fits when ``build_theta_grid`` made the grid
+    for ``model``.  A grid that carries no fits (restored from saved state,
+    or without free hyperparameters) or was built for another model is
+    fitted again, cold, point by point.
+    """
+    if grid.fits is not None and grid.fits[0].model is model:
+        return list(grid.fits)
+    return [find_mode(model, hp) for hp in grid.points]
 
 
 def _distinct_groups(groups, test):

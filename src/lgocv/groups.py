@@ -175,7 +175,7 @@ def _make_engine(source, ga):
         return _DenseCorrEngine(A_sel, P_sel.toarray(), constraints)
 
     from .approx import _splu
-    lu = _splu(P_sel)
+    lu, _ = _splu(P_sel)
 
     def solve(rhs):
         return lu.solve(rhs)

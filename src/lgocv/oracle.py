@@ -15,7 +15,7 @@ from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
 from .approx import find_mode, build_theta_grid, GridConfig, ThetaGrid
-from .engine import gh_log_predictive, DEFAULT_GH_ORDER
+from .engine import fit_grid_approximations, gh_log_predictive, DEFAULT_GH_ORDER
 from .covariance import EtaMoments
 
 REL_FLOOR = 1e-300
@@ -63,10 +63,9 @@ def _refit_group(model, I, thetas=None, grid_config=None):
     if thetas is not None:
         pts = [sub.hyper_point(t) for t in np.atleast_2d(thetas)]
         weights = np.full(len(pts), 1.0 / len(pts))
-    else:
-        grid = build_theta_grid(sub, grid_config or GridConfig())
-        pts, weights = grid.points, grid.weights
-    return pts, weights, [find_mode(sub, hp) for hp in pts]
+        return pts, weights, [find_mode(sub, hp) for hp in pts]
+    grid = build_theta_grid(sub, grid_config or GridConfig())
+    return grid.points, grid.weights, fit_grid_approximations(sub, grid)
 
 
 def _mix_predictive(model, i, pts, weights, gas_sub, gh_order):

@@ -1,3 +1,4 @@
+import itertools
 import logging
 import re
 from types import SimpleNamespace
@@ -6,16 +7,19 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.integrate import quad
+from scipy.optimize import minimize
 from scipy.special import gammaln
 from scipy.stats import multivariate_normal
 
 import lgocv.approx as approx
+from lgocv import simulate
 from lgocv.approx import GridConfig, build_theta_grid, find_mode, log_evidence
 from lgocv.components import FixedEffects, Iid
 from lgocv.likelihoods import Gaussian, Poisson
 from lgocv.model import HyperSpec, LgmModel
 
-from conftest import iid_identity_model, multilevel_poisson
+from conftest import (ar1_scenario, besag_lattice, iid_identity_model,
+                      multilevel_poisson)
 
 
 def gaussian_multilevel(seed=3, hyper=True, intercept_prec=1e-4):
@@ -211,7 +215,8 @@ class StubModel:
 def _stub_fits(monkeypatch, log_post):
     """Replace the mode fit by one Newton iteration that keeps theta."""
     monkeypatch.setattr(approx, "find_mode", lambda model, theta, tol=1e-8, **kw:
-                        SimpleNamespace(theta=np.atleast_1d(theta), n_iter=1))
+                        SimpleNamespace(theta=np.atleast_1d(theta), n_iter=1,
+                                        n_lu=2, mu=np.zeros(1)))
     monkeypatch.setattr(approx, "log_evidence",
                         lambda model, ga: float(log_post(ga.theta)))
 
@@ -251,7 +256,8 @@ def test_grid_mixing_matches_fine_quadrature():
 
 
 GRID_LINE = re.compile(r"grid: d=(\d+), (\d+) log-posterior evaluations, "
-                       r"(\d+) distinct fits, (\d+) Newton iterations, "
+                       r"(\d+) distinct fits \((\d+) warm-started\), "
+                       r"(\d+) Newton iterations, (\d+) LU factorizations, "
                        r"(\d+) points kept, (\d+) dropped, "
                        r"empirical-Bayes fallback (yes|no)$")
 
@@ -269,16 +275,19 @@ def test_grid_debug_line_reports_the_search(monkeypatch, caplog):
 
     def counted(*args, **kwargs):
         ga = find(*args, **kwargs)
-        fits.append(ga.n_iter)
+        fits.append((ga.n_iter, ga.n_lu, kwargs.get("init") is not None))
         return ga
 
     monkeypatch.setattr(approx, "find_mode", counted)
     with caplog.at_level(logging.DEBUG, logger="lgocv.approx"):
         grid = build_theta_grid(model)
     (line,) = _grid_lines(caplog)
-    d, evals, distinct, newton, kept, dropped = map(int, line.groups()[:6])
-    assert line.group(7) == "no"
-    assert (d, distinct, newton, kept) == (1, len(fits), sum(fits), len(grid))
+    d, evals, distinct, warm, newton, lu, kept, dropped = \
+        map(int, line.groups()[:8])
+    assert line.group(9) == "no"
+    iters, lus, warms = (sum(col) for col in zip(*fits))
+    assert (d, distinct, newton, kept) == (1, len(fits), iters, len(grid))
+    assert (warm, lu) == (warms, lus) and warm > 0
     assert evals > distinct
     config = GridConfig()
     half = int(np.ceil(np.sqrt(2 * config.drop_thresh) / config.step)) + 1
@@ -295,8 +304,237 @@ def test_grid_debug_line_reports_the_fallback(monkeypatch, caplog):
         _stub_fits(monkeypatch, lambda t: -np.sum((t - 1.0) ** 2))
         grid = build_theta_grid(StubModel(5))
     zero, five = _grid_lines(caplog)
-    assert zero.groups() == ("0", "0", "0", "0", "1", "0", "no")
+    assert zero.groups() == ("0", "0", "0", "0", "0", "0", "1", "0", "no")
     assert len(grid) == 1
-    d, evals, distinct, newton, kept, dropped = map(int, five.groups()[:6])
-    assert (d, kept, dropped, five.group(7)) == (5, 1, 0, "yes")
+    d, evals, distinct, warm, newton, lu, kept, dropped = \
+        map(int, five.groups()[:8])
+    assert (d, kept, dropped, five.group(9)) == (5, 1, 0, "yes")
     assert newton == distinct and evals >= distinct > 0
+    assert (warm, lu) == (0, 2 * distinct)
+
+
+# -- the Newton Hessian on a fixed pattern ------------------------------------
+
+def _reference_hessian(P, A, c):
+    """scipy's Q = P + A' diag(c) A with its indices sorted: ``splu`` sorts
+    its input in place before it factorizes, so this is what it sees."""
+    Q = (P + A.T @ sp.diags(c) @ A).tocsc()
+    Q.sort_indices()
+    return Q
+
+
+def _weighted_design_model(seed=4, n=30, p=8):
+    """Random sparse design with non-unit weights, 1-3 entries per row."""
+    rng = np.random.default_rng(seed)
+    rows, cols, vals = [], [], []
+    for i in range(n):
+        for j in rng.choice(p, size=rng.integers(1, 4), replace=False):
+            rows.append(i)
+            cols.append(j)
+            vals.append(rng.normal() * 10 ** rng.uniform(-2, 2))
+    A = sp.csr_matrix((vals, (rows, cols)), shape=(n, p))
+    y = rng.poisson(5.0, size=n).astype(float)
+    return LgmModel([Iid("u", p, log_prec=0.3)], A, Poisson(offset=1.0), y)
+
+
+HESSIAN_MODELS = {
+    "multilevel-binomial": lambda: simulate.scenario_model(
+        "multilevel-binomial", simulate.scenario_data("multilevel-binomial", 0)),
+    "ar1": lambda: ar1_scenario(),
+    "besag-constrained": lambda: besag_lattice(),
+    "weighted-design": _weighted_design_model,
+}
+
+
+@pytest.mark.parametrize("name", sorted(HESSIAN_MODELS))
+@pytest.mark.parametrize("zeros", [False, True], ids=["positive_c", "zero_c"])
+def test_hessian_equals_the_scipy_expression(name, zeros):
+    model = HESSIAN_MODELS[name]()
+    rng = np.random.default_rng(7)
+    n = model.n_obs
+    P = model.prior_precision(model.theta_init())
+    assembler = approx._Hessian(approx._design_terms(model), P)
+    for _ in range(3):
+        c = rng.gamma(1.0, size=n) * 10 ** rng.uniform(-3, 3, size=n)
+        if zeros:
+            c[rng.choice(n, size=n // 3, replace=False)] = 0.0
+        Q = assembler(c)
+        ref = _reference_hessian(P, model.design, c)
+        assert Q.has_sorted_indices
+        assert np.array_equal(Q.indptr, ref.indptr)
+        assert np.array_equal(Q.indices, ref.indices)
+        assert np.array_equal(Q.data, ref.data)
+
+
+def test_hessian_drops_zeros_like_scipy():
+    """Explicit zeros in P, a latent no curvature reaches and an entry that
+    cancels to zero leave the pattern as scipy's sum leaves it."""
+    model = _weighted_design_model()
+    A, p = model.design, model.latent_size
+    c = np.ones(model.n_obs)
+    c[A[:, 3].nonzero()[0]] = 0.0      # no curvature reaches latent 3
+    Y = _reference_hessian(sp.csc_matrix((p, p)), A, c)       # A' diag(c) A
+    j = next(i for i in Y.indices[Y.indptr[5]:Y.indptr[6]] if i != 5)
+    P = model.prior_precision(model.theta_init()).tocoo()
+    vals = np.where(np.isin(P.row, [2, 3]) & (P.row == P.col), 0.0, P.data)
+    P = sp.csc_matrix((np.r_[vals, 0.0, 0.0, -Y[j, 5]],
+                       (np.r_[P.row, 0, 1, j], np.r_[P.col, 1, 0, 5])),
+                      shape=(p, p))
+    assert P.nnz - np.count_nonzero(P.data) == 4      # (0,1), (1,0), (2,2), (3,3)
+    Q = approx._Hessian(approx._design_terms(model), P)(c)
+    ref = _reference_hessian(P, A, c)
+    assert np.count_nonzero(Q.data) == Q.nnz
+    assert j not in Q.indices[Q.indptr[5]:Q.indptr[6]]  # cancelled
+    assert Q.indptr[4] == Q.indptr[3]                   # latent 3: nothing left
+    assert np.array_equal(Q.indptr, ref.indptr)
+    assert np.array_equal(Q.indices, ref.indices)
+    assert np.array_equal(Q.data, ref.data)
+
+
+# -- the grid's fits ----------------------------------------------------------
+
+def reference_theta_grid(model, config=None):
+    """The grid with every point fitted cold: the build before grid points
+    were warm-started.  Returns the mode, the points and their log
+    posteriors."""
+    config = config or GridConfig()
+    d = model.theta_dim
+    cache = {}
+
+    def lp(theta):
+        key = tuple(np.round(np.atleast_1d(theta), 12))
+        if key not in cache:
+            ga = find_mode(model, theta, tol=1e-8)
+            cache[key] = log_evidence(model, ga) + model.log_hyper_prior(theta)
+        return cache[key]
+
+    res = minimize(lambda t: -lp(t), model.theta_init(), method="Nelder-Mead",
+                   options={"xatol": config.opt_tol, "fatol": 1e-10,
+                            "maxiter": config.max_opt_iter * d})
+    theta_star = np.atleast_1d(res.x)
+    lp_star = lp(theta_star)
+    h = config.hess_step * (1.0 + np.abs(theta_star))
+    H = np.zeros((d, d))
+    for i in range(d):
+        ei = np.zeros(d)
+        ei[i] = h[i]
+        H[i, i] = (lp(theta_star + ei) - 2 * lp_star + lp(theta_star - ei)) / h[i] ** 2
+        for j in range(i + 1, d):
+            ej = np.zeros(d)
+            ej[j] = h[j]
+            H[i, j] = H[j, i] = (
+                lp(theta_star + ei + ej) - lp(theta_star + ei - ej)
+                - lp(theta_star - ei + ej) + lp(theta_star - ei - ej)
+            ) / (4 * h[i] * h[j])
+    w, V = np.linalg.eigh(-H)
+    axes = V / np.sqrt(np.maximum(w, 1e-8))
+    half_width = int(np.ceil(np.sqrt(2 * config.drop_thresh) / config.step)) + 1
+    pts, lps = [], []
+    for z in itertools.product(range(-half_width, half_width + 1), repeat=d):
+        z = np.array(z, dtype=float)
+        theta = theta_star + config.step * (axes @ z)
+        val = lp_star if not z.any() else lp(theta)
+        if val >= lp_star - config.drop_thresh:
+            pts.append(theta)
+            lps.append(val)
+    return theta_star, np.array(pts), np.array(lps)
+
+
+def two_hyper_gaussian():
+    """gaussian_multilevel with the observation precision estimated too."""
+    base = gaussian_multilevel(hyper=True, intercept_prec=1.0)
+    return LgmModel(base.components, base.design, Gaussian(precision="lp_obs"),
+                    base.y, base.hypers + (HyperSpec("lp_obs", prior_prec=1e-4,
+                                                     init=3.0),))
+
+
+# A moderate intercept precision keeps the Gaussian models well conditioned:
+# with the vague one, roundoff alone moves a warm-started mu by ~1e-12.
+GRID_MODELS = {
+    "gaussian-d1": lambda: gaussian_multilevel(hyper=True, intercept_prec=1.0),
+    "binomial-d1": HESSIAN_MODELS["multilevel-binomial"],
+    "besag-d1": lambda: besag_lattice(log_prec="lp"),
+    "gaussian-d2": two_hyper_gaussian,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRID_MODELS))
+def test_grid_fits_equal_cold_refits(name):
+    model = GRID_MODELS[name]()
+    grid = build_theta_grid(model)
+    mode, pts, lps = reference_theta_grid(model)
+    # the search and the Hessian stay cold, so the points do not move
+    assert np.array_equal(grid.mode.values, mode)
+    assert np.array_equal(np.array([hp.values for hp in grid.points]), pts)
+    assert np.allclose(grid.log_posteriors, lps, rtol=1e-12, atol=0)
+    assert len(grid.fits) == len(grid) == len(lps) > 1
+    for hp, lp, ga in zip(grid.points, grid.log_posteriors, grid.fits):
+        cold = find_mode(model, hp)
+        assert ga.model is model
+        assert np.array_equal(ga.theta.values, hp.values)
+        scale = max(1.0, np.abs(cold.mu).max())
+        assert np.abs(ga.mu - cold.mu).max() <= 1e-12 * scale
+        cold_lp = log_evidence(model, cold) + model.log_hyper_prior(hp.values)
+        assert lp == pytest.approx(cold_lp, rel=1e-12, abs=0)
+        if np.array_equal(hp.values, grid.mode.values):
+            assert np.array_equal(ga.mu, cold.mu)      # the mode's fit is cold
+
+
+def test_grid_points_start_from_the_neighbour_nearer_the_mode(monkeypatch):
+    starts = {}
+    find = approx.find_mode
+
+    def recorded(model, theta, init=None, **kwargs):
+        starts[tuple(np.atleast_1d(getattr(theta, "values", theta)))] = init
+        return find(model, theta, init=init, **kwargs)
+
+    monkeypatch.setattr(approx, "find_mode", recorded)
+    grid = build_theta_grid(GRID_MODELS["gaussian-d1"]())
+    mode = next(k for k, hp in enumerate(grid.points)
+                if np.array_equal(hp.values, grid.mode.values))
+    assert 0 < mode < len(grid) - 1
+    for k, hp in enumerate(grid.points):
+        if k != mode:
+            nearer = k - 1 if k > mode else k + 1
+            assert starts[tuple(hp.values)] is grid.fits[nearer].mu
+
+
+def test_fit_grid_approximations_reuses_the_grid_fits(monkeypatch):
+    from lgocv.engine import fit_grid_approximations
+    model = gaussian_multilevel(hyper=True)
+    grid = build_theta_grid(model)
+    gas = fit_grid_approximations(model, grid)
+    assert all(a is b for a, b in zip(gas, grid.fits))
+
+    another = gaussian_multilevel(hyper=True)
+    restored = approx.ThetaGrid(grid.points, grid.log_posteriors, grid.weights,
+                                grid.mode)
+    for m, g in ((another, grid), (model, restored)):
+        refits = fit_grid_approximations(m, g)
+        assert len(refits) == len(grid)
+        for hp, ga, own in zip(grid.points, refits, grid.fits):
+            assert ga.model is m and ga is not own
+            assert np.array_equal(ga.mu, find_mode(m, hp).mu)
+
+
+def test_fit_grid_approximations_edge_grids():
+    from lgocv.engine import fit_grid_approximations
+    model = iid_identity_model(3)
+    grid = build_theta_grid(model)
+    assert grid.fits is None
+    (ga,) = fit_grid_approximations(model, grid)
+    assert ga.model is model
+
+    # five free precisions: the empirical-Bayes fallback keeps the mode's fit
+    rng = np.random.default_rng(8)
+    n, k = 30, 5
+    A = sp.csr_matrix((np.ones(n), (np.arange(n), np.arange(n) % k)), shape=(n, k))
+    comps = [Iid(f"u{j}", 1, log_prec=f"lp{j}") for j in range(k)]
+    big = LgmModel(comps, A, Gaussian(precision=4.0),
+                   rng.standard_normal(k)[np.arange(n) % k]
+                   + 0.5 * rng.standard_normal(n),
+                   [HyperSpec(f"lp{j}", prior_prec=1.0) for j in range(k)])
+    grid = build_theta_grid(big)
+    assert len(grid) == 1 and grid.fits[0].model is big
+    assert np.array_equal(grid.fits[0].theta.values, grid.mode.values)
+    assert fit_grid_approximations(big, grid)[0] is grid.fits[0]

@@ -174,6 +174,32 @@ def test_state_reuse_and_hash_guard(tmp_path):
                  "--groups-out", str(tmp_path / "g2.txt")]) == 2
 
 
+def test_fit_and_groups_take_the_mode_fit_from_the_grid(tmp_path, monkeypatch):
+    from lgocv import cli
+    calls = []
+    find = cli.find_mode
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return find(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "find_mode", counted)
+    spec, data = class_files(tmp_path)
+    fitdir = tmp_path / "fit"
+    assert main(["fit", "--model", spec, "--data", data,
+                 "--out", str(fitdir)]) == 0
+    own, restored = tmp_path / "own.txt", tmp_path / "restored.txt"
+    assert main(["groups", "--model", spec, "--data", data, "--m", "2",
+                 "--groups-out", str(own)]) == 0
+    assert calls == []
+    # a grid restored from --state carries no fits: one cold fit at the mode
+    assert main(["groups", "--model", spec, "--data", data, "--m", "2",
+                 "--state", str(fitdir / "fitted_state.bin"),
+                 "--groups-out", str(restored)]) == 0
+    assert len(calls) == 1
+    assert own.read_bytes() == restored.read_bytes()
+
+
 def test_error_exits(tmp_path, capsys):
     spec, data = class_files(tmp_path)
     bad_spec = tmp_path / "bad.spec"

@@ -9,7 +9,7 @@ from scipy.stats import norm
 
 from lgocv import engine, simulate
 from lgocv.approx import build_theta_grid, find_mode
-from lgocv.components import Besag, FixedEffects, Iid
+from lgocv.components import Iid
 from lgocv.covariance import EtaMoments, eta_covariance
 from lgocv.engine import (DowndateError, LeaveGroupMoments, compute_lgocv,
                           compute_loocv, downdate, fit_grid_approximations,
@@ -20,7 +20,8 @@ from lgocv.likelihoods import Binomial, Exponential, Gaussian, Poisson
 from lgocv.model import LgmModel
 from lgocv.oracle import dense_downdate_oracle
 
-from conftest import conjugate_pair, iid_identity_model, multilevel_poisson
+from conftest import (ar1_scenario, besag_lattice, conjugate_pair,
+                      iid_identity_model, multilevel_poisson)
 
 
 def fitted(model):
@@ -451,30 +452,6 @@ def _stack(items):
             np.array([ga.b[I] for ga, I in items]))
 
 
-def _ar1_scenario(n=60):
-    data = {k: v[:n] for k, v in simulate.simulate_ar1(0).items()}
-    return simulate.ar1_model(data)
-
-
-def _besag_lattice(side=5):
-    adj = [set() for _ in range(side * side)]
-    for i in range(side * side):
-        r, c = divmod(i, side)
-        for j in ([i + 1] if c + 1 < side else []) + \
-                 ([i + side] if r + 1 < side else []):
-            adj[i].add(j)
-            adj[j].add(i)
-    n = side * side
-    rng = np.random.default_rng(2)
-    offset = rng.uniform(5.0, 20.0, size=n)
-    y = rng.poisson(offset * np.exp(0.3 * np.sin(np.arange(n)))).astype(float)
-    A = sp.hstack([sp.csr_matrix(np.ones((n, 1))), sp.identity(n, format="csr")],
-                  format="csr")
-    return LgmModel([FixedEffects("intercept", 1, prec=1e-4),
-                     Besag("spatial", adj, log_prec=0.5)],
-                    A, Poisson(offset=offset), y)
-
-
 def _rank_deficient(ga_ml, size):
     """Multilevel groups of ``size`` members from one class (rank 1) and
     from two classes (rank 2); 10 observations per class."""
@@ -492,7 +469,7 @@ def test_kernel_matches_the_two_branch_reference(multilevel_fit, case):
         # classes (rank 1) and ten observations from ten classes (full rank)
         extra = [(ga_ml, np.arange(c, 100, 10)) for c in range(3)]
     else:
-        other = _ar1_scenario() if case == "ar1" else _besag_lattice()
+        other = ar1_scenario() if case == "ar1" else besag_lattice()
         name = "trend" if case == "ar1" else "spatial"
         ga = fitted(other)
         source = CorrelationSource("prior", (name,))
@@ -581,7 +558,7 @@ def test_cholesky_failure_falls_back_to_single_groups(multilevel_fit,
 
 @pytest.mark.parametrize("columns", [12, None], ids=["chunked", "one_chunk"])
 def test_mixed_sizes_match_one_at_a_time(monkeypatch, columns):
-    model = _ar1_scenario()
+    model = ar1_scenario()
     grid = build_theta_grid(model)
     gas = fit_grid_approximations(model, grid)
     groups = build_groups(CorrelationSource("prior", ("trend",)), gas[0], m=3)
