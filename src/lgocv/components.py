@@ -137,6 +137,15 @@ class Ar1:
 class _IntrinsicStructure:
     """An intrinsic component's fixed structure matrix ``_structure``."""
 
+    def null_basis(self):
+        """(size, k) basis of the null space of ``_structure``: by default
+        the sum-to-zero constraint rows, one per connected block."""
+        return np.column_stack(self.constraint_rows())
+
+    @property
+    def null_dim(self):
+        return self.null_basis().shape[1]
+
     @cached_property
     def _structure_logdet(self):
         """Log pseudo-determinant of ``_structure``, computed once."""
@@ -154,7 +163,6 @@ class Rw1(_IntrinsicStructure):
 
     kind = "rw1"
     intrinsic = True
-    null_dim = 1
 
     def hypers(self):
         return (self.log_prec,) if isinstance(self.log_prec, str) else ()
@@ -192,7 +200,6 @@ class Rw2(_IntrinsicStructure):
 
     kind = "rw2"
     intrinsic = True
-    null_dim = 2
 
     def hypers(self):
         return (self.log_prec,) if isinstance(self.log_prec, str) else ()
@@ -216,6 +223,13 @@ class Rw2(_IntrinsicStructure):
 
     def constraint_rows(self):
         return [np.ones(self.size)]
+
+    def null_basis(self):
+        """Constants and linear trends, one direction more than the single
+        sum-to-zero row constrains.  The trend is centred: against 0..size-1
+        it leaves the bordered prior solve 30x less accurate at size 200."""
+        s = self.size
+        return np.column_stack([np.ones(s), np.arange(s) - (s - 1) / 2])
 
 
 def read_graph(path):
@@ -280,10 +294,6 @@ class Besag(_IntrinsicStructure):
     @property
     def size(self):
         return len(self.adjacency)
-
-    @property
-    def null_dim(self):
-        return len(self._blocks)
 
     def hypers(self):
         return (self.log_prec,) if isinstance(self.log_prec, str) else ()

@@ -3,10 +3,12 @@
 For each observation i the groups union the top-m level sets of the absolute
 correlation between eta_i and every other predictor, evaluated at the
 hyperparameter mode.  Correlations come either from the posterior precision
-Q_f or from a principal submatrix of the prior precision (conditioning on
-the unselected effects).  Full correlation matrices are never stored; rows
-come in blocks of at most ``RHS_BATCH`` observations, one multi-RHS solve per
-block, and only the top-m level sets of each row are located.
+Q_f or from a principal submatrix P of the prior precision (conditioning on
+the unselected effects).  One sparse engine serves both; an intrinsic P is
+bordered with a basis of its null space, which gives P^+ without forming
+it.  No dense covariance or full correlation matrix is formed; rows come in
+blocks of at most ``RHS_BATCH`` observations, one multi-RHS solve per block,
+and only the top-m level sets of each row are located.
 """
 
 from __future__ import annotations
@@ -15,14 +17,16 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 import scipy.sparse as sp
+from scipy.linalg import cho_factor, cho_solve
 
+from .approx import _splu
 from .covariance import RHS_BATCH
 
 log = logging.getLogger(__name__)
 
 _TINY = 1e-300
+_ROUNDOFF = 1e-12   # relative size below which a variance is zero
 
 
 class GroupingError(ValueError):
@@ -77,20 +81,28 @@ def _abs_corr(cov, sd, idx):
     return np.minimum(r, 1.0)
 
 
+def _quad(AJ, X):
+    """diag(AJ X) for a sparse row block AJ and dense columns X."""
+    return np.asarray(AJ.multiply(X.T).sum(axis=1)).ravel()
+
+
 class _SparseCorrEngine:
     """Correlation rows via solves against a factorized precision."""
 
-    def __init__(self, A, solve, constrain, batch=RHS_BATCH):
+    def __init__(self, A, solve, constrain):
         self.A = sp.csr_matrix(A)
         self._solve = solve
         self._constrain = constrain
         n = self.A.shape[0]
-        var = np.empty(n)
-        for start in range(0, n, batch):
-            J = np.arange(start, min(start + batch, n))
-            X = self._constrain(self._solve(self.A[J].T.toarray()))
-            var[J] = np.asarray(self.A[J].multiply(X.T).sum(axis=1)).ravel()
-        if np.any(var <= 0):
+        var, free = np.empty(n), np.empty(n)
+        for start in range(0, n, RHS_BATCH):
+            J = slice(start, min(start + RHS_BATCH, n))
+            x = self._solve(self.A[J].T.toarray())
+            free[J] = _quad(self.A[J], x)
+            var[J] = _quad(self.A[J], self._constrain(x))
+        # kriging leaves a fully constrained eta_i a roundoff residue of its
+        # unconstrained variance
+        if np.any(var <= _ROUNDOFF * free):
             raise GroupingError("zero marginal predictor variance; degenerate model")
         self.sd = np.sqrt(var)
 
@@ -100,62 +112,30 @@ class _SparseCorrEngine:
         return _abs_corr(self.A @ X, self.sd, idx)
 
 
-class _DenseCorrEngine:
-    """Dense fallback for singular (intrinsic) prior submatrices."""
-
-    def __init__(self, A, P_dense, constraints):
-        self.A = sp.csr_matrix(A)
-        sigma = np.linalg.pinv(P_dense, hermitian=True)
-        if constraints is not None:
-            C, _ = constraints
-            for c in C:
-                sc = sigma @ c
-                denom = c @ sc
-                if denom > 1e-12 * max(np.abs(sigma).max(), 1.0):
-                    sigma -= np.outer(sc, sc) / denom
-        self.sigma = sigma
-        var = np.asarray(self.A.multiply(self.A @ sigma).sum(axis=1)).ravel()
-        if np.any(var <= 0):
-            raise GroupingError("zero marginal predictor variance; degenerate model")
-        self.sd = np.sqrt(var)
-
-    def rows(self, idx):
-        """(len(idx), n) block of |corr| rows from one dense product."""
-        return _abs_corr(self.A @ (self.sigma @ self.A[idx].T.toarray()), self.sd, idx)
-
-
-def _selected_columns(model, subset):
-    cols = []
-    for c in model.components:
-        if subset is None or c.name in subset:
-            off = model.offsets[c.name]
-            cols.extend(range(off, off + c.size))
-    if not cols:
+def _selected_components(model, subset):
+    comps = [c for c in model.components if subset is None or c.name in subset]
+    if not comps:
         raise GroupingError(f"prior subset matches no components: {subset}")
-    known = {c.name for c in model.components}
     if subset is not None:
-        bad = set(subset) - known
+        bad = set(subset) - {c.name for c in model.components}
         if bad:
             raise GroupingError(f"unknown components in prior subset: {sorted(bad)}")
-    return np.array(cols, dtype=int)
+    return comps
 
 
 def _restrict_constraints(model, cols):
+    """Constraint rows supported on ``cols``, restricted to them."""
     if model.constraints is None:
-        return None
-    C, e = model.constraints
-    colset = set(cols.tolist())
-    keep_rows, kept_e = [], []
-    for row, val in zip(C, e):
-        support = set(np.nonzero(row)[0].tolist())
-        if support <= colset:
-            keep_rows.append(row[cols])
-            kept_e.append(val)
-        elif support & colset:
+        return np.zeros((0, cols.size))
+    outside = np.ones(model.latent_size, dtype=bool)
+    outside[cols] = False
+    rows = []
+    for row in model.constraints[0]:
+        if not row[outside].any():
+            rows.append(row[cols])
+        elif row[cols].any():
             log.warning("dropping constraint row that crosses the prior subset")
-    if not keep_rows:
-        return None
-    return np.array(keep_rows), np.array(kept_e)
+    return np.array(rows).reshape(-1, cols.size)
 
 
 def _make_engine(source, ga):
@@ -163,32 +143,34 @@ def _make_engine(source, ga):
     if source.kind == "posterior":
         return _SparseCorrEngine(model.design, ga.solve, ga.constrain)
 
-    cols = _selected_columns(model, source.subset)
+    comps = _selected_components(model, source.subset)
+    cols = np.concatenate([model.offsets[c.name] + np.arange(c.size) for c in comps])
     A_sel = model.design[:, cols]
     if np.any(np.diff(sp.csr_matrix(A_sel).indptr) == 0):
         raise GroupingError("prior subset leaves some observations with no effects")
     P_sel = model.prior_precision(ga.theta)[cols][:, cols].tocsc()
-    constraints = _restrict_constraints(model, cols)
-    selected = [c for c in model.components
-                if source.subset is None or c.name in source.subset]
-    if any(c.intrinsic for c in selected):
-        return _DenseCorrEngine(A_sel, P_sel.toarray(), constraints)
-
-    from .approx import _splu
-    lu, _ = _splu(P_sel)
+    # Border P_sel with a basis N of its null space: the first p rows of
+    # K^-1 [b; 0], K = [[P, N], [N', 0]], are P^+ b (Rue & Held 2005, ch. 3).
+    N = sp.block_diag([c.null_basis() if c.intrinsic else np.zeros((c.size, 0))
+                       for c in comps], format="csc")
+    p, k = N.shape
+    lu, _ = _splu(sp.bmat([[P_sel, N], [N.T, None]], format="csc") if k else P_sel)
 
     def solve(rhs):
-        return lu.solve(rhs)
+        if k:
+            rhs = np.vstack([rhs, np.zeros((k, rhs.shape[1]))])
+        return lu.solve(rhs)[:p]
 
-    if constraints is None:
-        constrain = lambda x: x
-    else:
-        from scipy.linalg import cho_factor, cho_solve
-        C, _ = constraints
-        W = lu.solve(C.T)
-        cho = cho_factor(C @ W)
-        constrain = lambda x: x - W @ cho_solve(cho, C @ x)
-    return _SparseCorrEngine(A_sel, solve, constrain)
+    # krige onto the constraint rows; those in the null space (P^+ c = 0)
+    # the border already enforces
+    C = _restrict_constraints(model, cols)
+    W = solve(C.T)
+    keep = np.einsum("ij,ji->i", C, W) > _ROUNDOFF * max(np.abs(W).max(initial=0.0), 1.0)
+    if not keep.any():
+        return _SparseCorrEngine(A_sel, solve, lambda x: x)
+    C, W = C[keep], W[:, keep]
+    cho = cho_factor(C @ W)
+    return _SparseCorrEngine(A_sel, solve, lambda x: x - W @ cho_solve(cho, C @ x))
 
 
 def _engine_for(source, ga):

@@ -172,7 +172,7 @@ class LgmModel:
 
     def prior_rank(self):
         return self.latent_size - sum(
-            getattr(c, "null_dim", 0) for c in self.components if c.intrinsic)
+            c.null_dim for c in self.components if c.intrinsic)
 
     def prior_precision(self, theta):
         """Block-diagonal joint prior precision P_f(theta)."""

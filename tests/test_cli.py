@@ -229,6 +229,43 @@ def test_groups_prior_subset_flag(tmp_path):
                  "--groups-out", str(gpath)]) == 2
 
 
+BESAG_SPEC = """\
+[likelihood]
+family = poisson
+response = y
+offset = E
+
+[component intercept]
+kind = fixed
+covariates = 1
+
+[component spatial]
+kind = besag
+index = region
+precision = 1.0
+"""
+
+
+def test_groups_degenerate_prior_subset_exits_2(tmp_path, capsys):
+    """Node 2 of the graph has no neighbours, so the spatial prior alone
+    fixes its predictor: no correlations, a message and exit code 2."""
+    spec = tmp_path / "besag.spec"
+    spec.write_text(BESAG_SPEC)
+    graph = tmp_path / "graph.txt"
+    graph.write_text("0 1\n1 3\n")
+    data = tmp_path / "besag.csv"
+    write_data(str(data), {"y": np.array([8.0, 12.0, 9.0, 11.0]),
+                           "E": np.full(4, 10.0), "region": np.arange(4.0)})
+    args = ["groups", "--model", str(spec), "--data", str(data),
+            "--graph", str(graph), "--m", "1", "--source", "prior",
+            "--groups-out", str(tmp_path / "g.txt")]
+    assert main(args + ["--prior-subset", "spatial"]) == 2
+    err = capsys.readouterr().err
+    assert "error: zero marginal predictor variance" in err
+    assert "Traceback" not in err
+    assert main(args) == 0
+
+
 def test_verify_small_run(tmp_path):
     out = tmp_path / "verify"
     assert main(["verify", "--cases", "3", "--seed", "1",

@@ -39,10 +39,17 @@ def test_ar1_logdet_matches_dense():
 
 
 def test_intrinsic_null_space():
-    for c in (Rw1("u", 6), Rw2("u", 6),
-              Rw1("u", 5, cyclic=True)):
-        P = dense(c.precision({}))
-        assert np.allclose(P @ np.ones(c.size), 0.0, atol=1e-12)
+    adj = [{1}, {0, 2}, {1}, {4}, {3}]
+    for c in (Rw1("u", 6), Rw1("u", 5, cyclic=True), Rw2("u", 6),
+              Besag("sp", adj)):
+        R = dense(c._structure)
+        N = c.null_basis()
+        assert N.shape == (c.size, c.null_dim)
+        assert not np.any(R @ N)
+        assert np.linalg.matrix_rank(R) == c.size - c.null_dim
+        assert np.linalg.matrix_rank(N) == c.null_dim
+    assert [c.null_dim for c in (Rw1("u", 6), Rw1("u", 5, cyclic=True),
+                                 Rw2("u", 6), Besag("sp", adj))] == [1, 1, 2, 2]
 
 
 def test_intrinsic_logdet_matches_pseudo_det():

@@ -1,23 +1,26 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.linalg import cho_factor, cho_solve
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import lgocv.groups
 from lgocv.approx import find_mode
-from lgocv.components import Ar1, FixedEffects, Iid, Rw1
+from lgocv.components import Ar1, Besag, FixedEffects, Iid, Rw1, Rw2
 from lgocv.groups import (CorrelationSource, GroupingError, build_groups,
                           correlation_row, group_from_row,
                           level_set_partition, read_groups, singleton_groups,
                           write_groups)
-from lgocv.likelihoods import Gaussian
+from lgocv.likelihoods import Gaussian, Poisson
 from lgocv.model import LgmModel
 
-from conftest import iid_identity_model, multilevel_poisson
+from conftest import besag_lattice, iid_identity_model, multilevel_poisson
 
 POSTERIOR = CorrelationSource("posterior")
 
@@ -26,7 +29,7 @@ def fitted(model):
     return find_mode(model, model.hyper_point(np.zeros(0)))
 
 
-def ar1_model(n=30, rho=0.9, intercept=True):
+def ar1_model(n=30, rho=0.9, intercept=True, extra_constraints=None):
     comps = []
     blocks = []
     if intercept:
@@ -36,7 +39,8 @@ def ar1_model(n=30, rho=0.9, intercept=True):
     blocks.append(sp.identity(n, format="csr"))
     A = sp.hstack(blocks, format="csr")
     y = np.sin(np.linspace(0, 3, n))
-    return LgmModel(comps, A, Gaussian(precision=5.0), y)
+    return LgmModel(comps, A, Gaussian(precision=5.0), y,
+                    extra_constraints=extra_constraints)
 
 
 def test_intercept_only_groups_everything():
@@ -188,19 +192,32 @@ def test_level_sets_equal_reference_walk(row, m):
     assert np.array_equal(group_from_row(r, m, tie_tol), np.sort(ref_order[:end]))
 
 
-def rw1_model(n=14):
-    """Intercept plus RW1: its prior subset goes through the dense engine."""
-    comps = [FixedEffects("intercept", 1, prec=1.0), Rw1("walk", n, log_prec=1.0)]
+def walk_model(walk, extra_constraints=None):
+    """Intercept plus the random walk ``walk``, one observation per step."""
+    n = walk.size
     A = sp.hstack([sp.csr_matrix(np.ones((n, 1))), sp.identity(n, format="csr")],
                   format="csr")
-    return LgmModel(comps, A, Gaussian(precision=5.0), np.cos(np.linspace(0, 4, n)))
+    return LgmModel([FixedEffects("intercept", 1, prec=1.0), walk], A,
+                    Gaussian(precision=5.0), np.cos(np.linspace(0, 4, n)),
+                    extra_constraints=extra_constraints)
+
+
+def rw1_model(n=14):
+    """Intercept plus RW1: its prior subset is intrinsic."""
+    return walk_model(Rw1("walk", n, log_prec=1.0))
+
+
+def after_intercept(values):
+    """One constraint row on a latent vector whose first entry is the
+    intercept and whose rest is ``values``."""
+    return np.concatenate([[0.0], values])[None, :]
 
 
 @pytest.mark.parametrize("model, source", [
     (multilevel_poisson(seed=4, classes=4, per_class=5), POSTERIOR),
     (ar1_model(n=20, rho=0.8), CorrelationSource("prior", ("trend",))),
     (rw1_model(), CorrelationSource("prior", ("walk",))),
-], ids=["posterior", "sparse-prior", "dense-prior"])
+], ids=["posterior", "sparse-prior", "intrinsic-prior"])
 def test_blocked_rows_match_single_rows(model, source, monkeypatch, caplog):
     monkeypatch.setattr(lgocv.groups, "RHS_BATCH", 3)
     ga = fitted(model)
@@ -213,6 +230,160 @@ def test_blocked_rows_match_single_rows(model, source, monkeypatch, caplog):
             expected = group_from_row(correlation_row(source, ga, i), m, 1e-8)
             assert np.array_equal(spec[i], expected)
     assert "11 rows in 4 RHS blocks" in caplog.text
+
+
+def reference_prior_correlation(source, ga):
+    """All |corr| rows of the selected prior from a dense pinv of its
+    precision, kriged one constraint row at a time: the dense engine that
+    the bordered sparse solve replaces."""
+    model = ga.model
+    cols = np.concatenate([model.offsets[c.name] + np.arange(c.size)
+                           for c in model.components
+                           if source.subset is None or c.name in source.subset])
+    P = model.prior_precision(ga.theta)[cols][:, cols].toarray()
+    sigma = np.linalg.pinv(P, hermitian=True)
+    outside = np.setdiff1d(np.arange(model.latent_size), cols)
+    for c in (model.constraints[0] if model.constraints is not None else []):
+        if np.any(c[outside]):
+            continue
+        sc = sigma @ c[cols]
+        denom = c[cols] @ sc
+        if denom > 1e-12 * max(np.abs(sigma).max(), 1.0):
+            sigma -= np.outer(sc, sc) / denom
+    A = model.design[:, cols].toarray()
+    cov = A @ sigma @ A.T
+    sd = np.sqrt(np.diag(cov))
+    r = np.minimum(np.abs(cov) / np.outer(sd, sd), 1.0)
+    np.fill_diagonal(r, 1.0)
+    return r
+
+
+def two_block_besag(reps=1):
+    """Intercept plus a Besag field on a 5 x 5 and a 4 x 4 lattice side by
+    side (two connected blocks), ``reps`` Poisson counts per region."""
+    lattices = [besag_lattice(side).components[1].adjacency for side in (5, 4)]
+    adj = list(lattices[0]) + [{j + 25 for j in a} for a in lattices[1]]
+    n = len(adj) * reps
+    rng = np.random.default_rng(3)
+    region = np.tile(np.arange(len(adj)), reps)
+    A = sp.hstack([sp.csr_matrix(np.ones((n, 1))),
+                   sp.csr_matrix((np.ones(n), (np.arange(n), region)))], format="csr")
+    offset = rng.uniform(5.0, 20.0, size=n)
+    return LgmModel([FixedEffects("intercept", 1, prec=1e-4),
+                     Besag("spatial", adj, log_prec=0.5)],
+                    A, Poisson(offset=offset), rng.poisson(offset).astype(float))
+
+
+EQUIVALENCE_MODELS = {
+    "lattice5": (lambda: besag_lattice(5), "spatial"),
+    "lattice10": (lambda: besag_lattice(10), "spatial"),
+    "lattice20": (lambda: besag_lattice(20), "spatial"),
+    "two-blocks": (lambda: two_block_besag(), "spatial"),
+    "two-blocks-replicated": (lambda: two_block_besag(reps=2), "spatial"),
+    "rw1-14": (lambda: rw1_model(14), "walk"),
+    "rw1-50": (lambda: rw1_model(50), "walk"),
+    "rw1-cyclic-14": (lambda: walk_model(Rw1("walk", 14, cyclic=True)), "walk"),
+    "rw1-cyclic-50": (lambda: walk_model(Rw1("walk", 50, cyclic=True)), "walk"),
+    "rw2-14": (lambda: walk_model(Rw2("walk", 14)), "walk"),
+    "rw2-50": (lambda: walk_model(Rw2("walk", 50)), "walk"),
+    "rw2-trend-row-14": (lambda: walk_model(
+        Rw2("walk", 14), (after_intercept(np.arange(14.0)), [0.0])), "walk"),
+    "ar1-sum-row": (lambda: ar1_model(
+        n=20, rho=0.8, extra_constraints=(after_intercept(np.ones(20)), [0.0])), "trend"),
+}
+
+
+def assert_matches_reference(source, ga):
+    ref = reference_prior_correlation(source, ga)
+    rows = np.array([correlation_row(source, ga, i) for i in range(ga.model.n_obs)])
+    assert np.max(np.abs(rows - ref)) <= 1e-10
+    for m in (1, 2, 3, 5):
+        spec = build_groups(source, ga, m=m)
+        for i in range(ga.model.n_obs):
+            assert np.array_equal(spec[i], group_from_row(ref[i], m, 1e-8))
+    return rows
+
+
+@pytest.mark.parametrize("subset", ["component", None])
+@pytest.mark.parametrize("name", list(EQUIVALENCE_MODELS))
+def test_prior_groups_match_pinv_reference(name, subset):
+    make, component = EQUIVALENCE_MODELS[name]
+    source = CorrelationSource("prior", (component,) if subset else None)
+    assert_matches_reference(source, fitted(make()))
+
+
+def test_null_space_constraint_rows_are_skipped():
+    """RW2's trend row lies in the null space the border already removes,
+    so it leaves the rows bitwise as they are without it."""
+    source = CorrelationSource("prior", ("walk",))
+    plain = fitted(walk_model(Rw2("walk", 50)))
+    trend = fitted(walk_model(Rw2("walk", 50),
+                              (after_intercept(np.arange(50.0)), [0.0])))
+    assert trend.model.constraints[0].shape[0] == 2
+    for i in (0, 17, 49):
+        assert np.array_equal(correlation_row(source, trend, i),
+                              correlation_row(source, plain, i))
+
+
+def test_proper_prior_with_constraint_keeps_its_sparse_path():
+    """AR(1) plus a sum row: no border, and the row is kriged exactly as by
+    a plain LU of the prior precision."""
+    model = ar1_model(n=20, rho=0.8,
+                      extra_constraints=(after_intercept(np.ones(20)), [0.0]))
+    source = CorrelationSource("prior", ("trend",))
+    ga = fitted(model)
+    cols = np.arange(1, 21)
+    lu = spla.splu(model.prior_precision(ga.theta)[cols][:, cols].tocsc())
+    C = model.constraints[0][:, cols]
+    W = lu.solve(C.T)
+    cho = cho_factor(C @ W)
+    plain = lgocv.groups._SparseCorrEngine(
+        model.design[:, cols], lu.solve, lambda x: x - W @ cho_solve(cho, C @ x))
+    idx = np.arange(model.n_obs)
+    rows = lgocv.groups._engine_for(source, ga).rows(idx)
+    assert np.array_equal(rows, plain.rows(idx))
+    assert not np.array_equal(
+        rows, lgocv.groups._SparseCorrEngine(model.design[:, cols], lu.solve,
+                                             lambda x: x).rows(idx))
+
+
+def isolated_node_besag():
+    """Intercept plus Besag on the path 0-1-3 with node 2 isolated."""
+    adj = [{1}, {0, 3}, set(), {1}]
+    A = sp.hstack([sp.csr_matrix(np.ones((4, 1))), sp.identity(4, format="csr")],
+                  format="csr")
+    return LgmModel([FixedEffects("intercept", 1, prec=1e-4),
+                     Besag("spatial", adj, log_prec=0.5)],
+                    A, Poisson(offset=np.full(4, 10.0)), np.array([8.0, 12.0, 9.0, 11.0]))
+
+
+@pytest.mark.parametrize("model, component", [
+    (isolated_node_besag(), "spatial"),
+    (walk_model(Rw1("walk", 14), (after_intercept(np.eye(14)[0]), [0.0])), "walk"),
+    (walk_model(Rw1("walk", 50), (after_intercept(np.eye(50)[0]), [0.0])), "walk"),
+    (walk_model(Rw1("walk", 200), (after_intercept(np.eye(200)[0]), [0.0])), "walk"),
+], ids=["besag-isolated-node", "rw1-pinned-14", "rw1-pinned-50", "rw1-pinned-200"])
+def test_degenerate_prior_variance_fails_loudly(model, component):
+    """A predictor the prior subset fixes exactly has no correlations; the
+    roundoff left after kriging must not pass for a variance."""
+    with pytest.raises(GroupingError, match="zero marginal predictor variance"):
+        build_groups(CorrelationSource("prior", (component,)), fitted(model), m=1)
+    build_groups(CorrelationSource("prior", None), fitted(model), m=1)
+
+
+def test_intrinsic_prior_groups_form_no_dense_covariance(monkeypatch):
+    monkeypatch.setattr(lgocv.groups, "RHS_BATCH", 32)
+    model = besag_lattice(40)
+    ga = fitted(model)
+    p = 40 * 40
+    tracemalloc.start()
+    try:
+        spec = build_groups(CorrelationSource("prior", ("spatial",)), ga, m=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(spec.groups) == p
+    assert peak < p * p * 8
 
 
 def test_group_io_round_trip(tmp_path):
