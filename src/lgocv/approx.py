@@ -24,6 +24,14 @@ from scipy.optimize import minimize
 
 log = logging.getLogger(__name__)
 
+NEWTON_TOL = 1e-8       # largest linear-predictor move at Newton convergence
+MAX_NEWTON_ITER = 100
+GRID_STEP = 0.75        # theta grid spacing in standardized units
+DROP_THRESH = 5.0       # grid points this many log units below the mode drop
+HESS_STEP = 1e-3        # relative finite-difference step of the theta Hessian
+OPT_TOL = 1e-7          # Nelder-Mead xatol of the theta mode search
+MAX_OPT_ITER = 500      # Nelder-Mead iterations per free hyperparameter
+
 
 class ModeFindingError(RuntimeError):
     pass
@@ -215,8 +223,11 @@ def _linearize(hessian, At, C_e, eta, g1, g2):
     return _Linearization(c, b, lu, pivots, mu_unc, mu, W, gram, cho)
 
 
-def find_mode(model, theta, init=None, tol=1e-8, max_iter=100):
-    """Newton mode search for pi(f | theta, y) with step-halving line search."""
+def find_mode(model, theta, init=None):
+    """Newton mode search for pi(f | theta, y) with step-halving line search.
+
+    Stops once no linear predictor moves by more than ``NEWTON_TOL``.
+    """
     theta = theta if hasattr(theta, "values") else model.hyper_point(theta)
     A = model.design
     P = model.prior_precision(theta)
@@ -229,7 +240,7 @@ def find_mode(model, theta, init=None, tol=1e-8, max_iter=100):
     g, g1, g2 = model.loglik_derivatives(theta, eta)
     obj = -0.5 * f @ (P @ f) + g.sum()
 
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_NEWTON_ITER + 1):
         mu = _linearize(hessian, At, C_e, eta, g1, g2).mu
         step = mu - f
         alpha = 1.0
@@ -247,7 +258,7 @@ def find_mode(model, theta, init=None, tol=1e-8, max_iter=100):
         delta = np.max(np.abs(eta_new - eta))
         f, eta, obj = f_new, eta_new, obj_new
         g, g1, g2 = g_new, g1_new, g2_new
-        if delta <= tol:
+        if delta <= NEWTON_TOL:
             # refresh the linearization at the accepted point: one LU per
             # Newton step plus this one
             lin = _linearize(hessian, At, C_e, eta, g1, g2)
@@ -255,8 +266,8 @@ def find_mode(model, theta, init=None, tol=1e-8, max_iter=100):
             return GaussianApprox(model, theta, lin, g=g_m, P=P, n_iter=it,
                                   n_lu=it + 1)
 
-    raise ModeFindingError(f"Newton did not converge in {max_iter} iterations "
-                           f"(theta={np.asarray(theta.values)})")
+    raise ModeFindingError(f"Newton did not converge in {MAX_NEWTON_ITER} "
+                           f"iterations (theta={np.asarray(theta.values)})")
 
 
 def _log_gauss(x, mean, gram_cho, logdet, dim):
@@ -308,15 +319,6 @@ def log_evidence(model, ga):
     return float(log_prior + log_lik - (log_post - corr))
 
 
-@dataclass
-class GridConfig:
-    step: float = 0.75          # grid spacing in standardized theta units
-    drop_thresh: float = 5.0    # drop points this many log units below the mode
-    hess_step: float = 1e-3
-    opt_tol: float = 1e-7
-    max_opt_iter: int = 500
-
-
 @dataclass(frozen=True)
 class ThetaGrid:
     """Integration grid over the hyperparameter posterior.
@@ -337,12 +339,14 @@ class ThetaGrid:
         return len(self.points)
 
 
-def build_theta_grid(model, config=None):
+def build_theta_grid(model, step=GRID_STEP):
     """Locate the mode of pi(theta | y) and lay an axis-aligned grid around it.
 
     With no free hyperparameters the grid degenerates to a single point of
     weight one and carries no fit.  Above four dimensions only the mode is
     used (empirical Bayes), mirroring the cost blow-up of dense grids.
+    Grid points lie ``step`` apart in theta standardized by the Hessian at
+    the mode; those more than ``DROP_THRESH`` log units below it drop out.
 
     The Nelder-Mead search and the finite-difference Hessian fit every
     theta cold, and the mode keeps the best search fit.  The other grid
@@ -353,7 +357,6 @@ def build_theta_grid(model, config=None):
     among them), their Newton iterations and LU factorizations, the points
     kept and dropped, and whether the empirical-Bayes fallback was taken.
     """
-    config = config or GridConfig()
     d = model.theta_dim
     cache, stats, best = {}, Counter(), {}
 
@@ -371,7 +374,7 @@ def build_theta_grid(model, config=None):
         return ThetaGrid((hp,), np.zeros(1), np.ones(1), hp)
 
     def fit(theta, init=None):
-        ga = find_mode(model, theta, init=init, tol=1e-8)
+        ga = find_mode(model, theta, init=init)
         stats["fits"] += 1
         stats["warm"] += init is not None
         stats["newton_iters"] += ga.n_iter
@@ -394,8 +397,8 @@ def build_theta_grid(model, config=None):
 
     res = minimize(lambda t: -lp(t, search=True), model.theta_init(),
                    method="Nelder-Mead",
-                   options={"xatol": config.opt_tol, "fatol": 1e-10,
-                            "maxiter": config.max_opt_iter * d})
+                   options={"xatol": OPT_TOL, "fatol": 1e-10,
+                            "maxiter": MAX_OPT_ITER * d})
     if not res.success and res.status != 2:    # status 2: maxiter, still usable
         raise ModeFindingError(f"theta optimization failed: {res.message}")
     theta_star = np.atleast_1d(res.x)
@@ -409,7 +412,7 @@ def build_theta_grid(model, config=None):
         return ThetaGrid((hp,), np.array([lp_star]), np.ones(1), hp, (ga_star,))
 
     # central-difference Hessian of the log posterior at the mode
-    h = config.hess_step * (1.0 + np.abs(theta_star))
+    h = HESS_STEP * (1.0 + np.abs(theta_star))
     H = np.zeros((d, d))
     for i in range(d):
         ei = np.zeros(d)
@@ -427,14 +430,14 @@ def build_theta_grid(model, config=None):
     w = np.maximum(w, 1e-8)
     axes = V / np.sqrt(w)              # columns map standardized steps to theta
 
-    half_width = int(np.ceil(np.sqrt(2 * config.drop_thresh) / config.step)) + 1
+    half_width = int(np.ceil(np.sqrt(2 * DROP_THRESH) / step)) + 1
     offsets = range(-half_width, half_width + 1)
     grid = list(itertools.product(offsets, repeat=d))
     centre = (0,) * d
     kept = {}                          # z -> (theta, fit, log posterior)
     dropped = 0
     for z in sorted(grid, key=lambda z: sum(map(abs, z))):
-        theta = theta_star + config.step * (axes @ np.array(z, dtype=float))
+        theta = theta_star + step * (axes @ np.array(z, dtype=float))
         if z == centre:
             kept[z] = (theta, ga_star, lp_star)
             continue
@@ -443,7 +446,7 @@ def build_theta_grid(model, config=None):
         init = next((kept[n][1] for n in nearer if n in kept), ga_star).mu
         stats["evaluations"] += 1
         ga, val = fit(theta, init)
-        if val >= lp_star - config.drop_thresh:
+        if val >= lp_star - DROP_THRESH:
             kept[z] = (theta, ga, val)
         else:
             dropped += 1

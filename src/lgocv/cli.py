@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import math
 import os
 import pickle
 import sys
@@ -11,7 +12,7 @@ import sys
 import numpy as np
 
 from . import simulate as sim
-from .approx import (GridConfig, build_theta_grid, find_mode,
+from .approx import (GRID_STEP, build_theta_grid, find_mode,
                      ModeFindingError, FactorizationError)
 from .components import ComponentError
 from .engine import compute_lgocv, fit_grid_approximations, DEFAULT_GH_ORDER
@@ -50,11 +51,13 @@ def _parse_test_range(text, n_obs):
     return list(range(a - 1, b))
 
 
-def _grid_config(args):
-    cfg = GridConfig()
-    if getattr(args, "theta_grid_step", None):
-        cfg.step = args.theta_grid_step
-    return cfg
+def _grid_step(text):
+    """--theta-grid-step: a finite number > 0."""
+    step = float(text)
+    if not 0 < step < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text!r}")
+    return step
 
 
 def _load(args):
@@ -82,7 +85,7 @@ def _mode_fit(model, grid):
 
 def cmd_fit(args):
     model = _load(args)
-    grid = build_theta_grid(model, _grid_config(args))
+    grid = build_theta_grid(model, args.theta_grid_step)
     ga = _mode_fit(model, grid)
 
     os.makedirs(args.out, exist_ok=True)
@@ -100,7 +103,6 @@ def cmd_fit(args):
         "theta_points": [hp.values for hp in grid.points],
         "log_posteriors": grid.log_posteriors,
         "weights": grid.weights,
-        "seed": args.seed,
     }
     with open(os.path.join(args.out, "fitted_state.bin"), "wb") as fh:
         pickle.dump(state, fh)
@@ -128,7 +130,7 @@ def _restore_grid(model, state_path, spec_path):
 def _grid_for(args, model):
     if getattr(args, "state", None):
         return _restore_grid(model, args.state, args.model)
-    return build_theta_grid(model, _grid_config(args))
+    return build_theta_grid(model, args.theta_grid_step)
 
 
 def _source(args):
@@ -172,8 +174,7 @@ def cmd_cv(args):
         spec = singleton_groups(test_indices)
 
     result = compute_lgocv(model, grid, spec, gas=gas,
-                           test_indices=test_indices,
-                           gh_order=args.gh_order, threads=args.threads)
+                           test_indices=test_indices, gh_order=args.gh_order)
     os.makedirs(args.out, exist_ok=True)
     result.write_csv(os.path.join(args.out, "cv_results.csv"))
     extra = {"equivalent_to_loocv": "yes" if spec.all_singletons() else "no",
@@ -198,13 +199,14 @@ def _simulate_multilevel(args, outdir):
     with open(os.path.join(outdir, "model.spec"), "w") as fh:
         fh.write(sim.scenario_spec_text(name))
 
-    grid = build_theta_grid(model, _grid_config(args))
+    grid = build_theta_grid(model, args.theta_grid_step)
     gas = fit_grid_approximations(model, grid)
     ga_mode = gas[int(np.argmax(grid.log_posteriors))]
     spec = build_groups(CorrelationSource("posterior"), ga_mode, m=args.m)
     result = compute_lgocv(model, grid, spec, gas=gas, gh_order=args.gh_order)
 
     oracle = refit_predictive_all(model, spec, result.indices,
+                                  step=args.theta_grid_step,
                                   gh_order=args.gh_order)
     with open(os.path.join(outdir, "comparison.csv"), "w") as fh:
         fh.write("index,engine_density,oracle_density,rel_error\n")
@@ -226,7 +228,7 @@ def _simulate_ar1(args, outdir):
         fh.write(sim.scenario_spec_text("ar1-forecast"))
 
     test = list(range(model.n_obs - 500, model.n_obs))
-    grid = build_theta_grid(model)
+    grid = build_theta_grid(model, args.theta_grid_step)
     gas = fit_grid_approximations(model, grid)
     ga = gas[0]
 
@@ -238,7 +240,7 @@ def _simulate_ar1(args, outdir):
         spec = build_groups(CorrelationSource("prior", ("trend",)), ga, m=m,
                             tie_tol=args.tie_tol, indices=test)
         res = compute_lgocv(model, grid, spec, gas=gas, test_indices=test,
-                            gh_order=args.gh_order, threads=args.threads)
+                            gh_order=args.gh_order)
         lgocv_u.append(res.utility)
 
     mapped = map_levels_to_steps(ks, [lfocv_u[k] for k in ks], lgocv_u)
@@ -288,6 +290,10 @@ def build_parser():
         sp.add_argument("--data", required=True, help="data CSV")
         sp.add_argument("--graph", help="besag adjacency edge list")
 
+    def add_grid_step(sp):
+        sp.add_argument("--theta-grid-step", type=_grid_step, default=GRID_STEP,
+                        help="theta grid spacing in standardized units")
+
     def add_group_opts(sp):
         sp.add_argument("--source", choices=["prior", "posterior"],
                         default="posterior")
@@ -298,8 +304,7 @@ def build_parser():
     fit = sub.add_parser("fit", help="fit the model and store the theta grid")
     add_model_io(fit)
     fit.add_argument("--out", default=".")
-    fit.add_argument("--theta-grid-step", type=float)
-    fit.add_argument("--seed", type=int, default=0)
+    add_grid_step(fit)
     fit.set_defaults(func=cmd_fit)
 
     gr = sub.add_parser("groups", help="build automatic groups")
@@ -309,7 +314,7 @@ def build_parser():
     gr.add_argument("--groups-out", required=True)
     gr.add_argument("--test-range")
     gr.add_argument("--state", help="fitted_state.bin from 'fit'")
-    gr.add_argument("--theta-grid-step", type=float)
+    add_grid_step(gr)
     gr.set_defaults(func=cmd_groups)
 
     cv = sub.add_parser("cv", help="compute LOOCV/LGOCV")
@@ -320,9 +325,8 @@ def build_parser():
     cv.add_argument("--groups-out")
     cv.add_argument("--gh-order", type=int, default=DEFAULT_GH_ORDER)
     cv.add_argument("--test-range")
-    cv.add_argument("--threads", type=int, default=1)
     cv.add_argument("--state")
-    cv.add_argument("--theta-grid-step", type=float)
+    add_grid_step(cv)
     cv.add_argument("--out", default=".")
     cv.set_defaults(func=cmd_cv)
 
@@ -332,8 +336,7 @@ def build_parser():
     si.add_argument("--m", type=int, default=1)
     si.add_argument("--gh-order", type=int, default=DEFAULT_GH_ORDER)
     si.add_argument("--tie-tol", type=float, default=1e-8)
-    si.add_argument("--threads", type=int, default=1)
-    si.add_argument("--theta-grid-step", type=float)
+    add_grid_step(si)
     si.add_argument("--out", default=".")
     si.set_defaults(func=cmd_simulate)
 

@@ -27,23 +27,6 @@ class EtaMoments:
         object.__setattr__(self, "indices", np.asarray(self.indices, dtype=int))
 
 
-def _check_indices(ga, I):
-    I = np.asarray(I, dtype=int)
-    if I.size == 0:
-        raise IndexError("index set is empty")
-    if I.min() < 0 or I.max() >= ga.model.n_obs:
-        raise IndexError(f"observation index out of range [0, {ga.model.n_obs})")
-    if np.unique(I).size != I.size:
-        raise IndexError("index set contains duplicates")
-    return I
-
-
-def eta_mean(ga, I):
-    """Constraint-corrected posterior mean A_I mu_f*."""
-    I = _check_indices(ga, I)
-    return ga.model.design[I] @ ga.mu
-
-
 def eta_covariance(ga, I):
     """Posterior moments of eta_I from one multi-RHS solve.
 
@@ -51,7 +34,13 @@ def eta_covariance(ga, I):
     solution columns for linear constraints, and reads off
     Sigma_ij = A_j x_i.  The result is symmetrized against solver roundoff.
     """
-    I = _check_indices(ga, I)
+    I = np.asarray(I, dtype=int)
+    if I.size == 0:
+        raise IndexError("index set is empty")
+    if I.min() < 0 or I.max() >= ga.model.n_obs:
+        raise IndexError(f"observation index out of range [0, {ga.model.n_obs})")
+    if np.unique(I).size != I.size:
+        raise IndexError("index set contains duplicates")
     AI = ga.model.design[I]
     X = ga.solve(AI.T.toarray())
     X = ga.constrain(X)

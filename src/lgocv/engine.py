@@ -225,10 +225,6 @@ class LgocvResult:
     n_theta: int
 
     @property
-    def negated_utility(self):
-        return -self.utility
-
-    @property
     def skipped_frac(self):
         """Skipped share of the requested observations (nan if none)."""
         total = len(self.indices) + len(self.skipped)
@@ -244,7 +240,7 @@ class LgocvResult:
     def write_summary(self, path, extra=None):
         lines = {
             "u_lgocv": repr(self.utility),
-            "negated_utility": repr(self.negated_utility),
+            "negated_utility": repr(-self.utility),
             "n_evaluated": str(len(self.indices)),
             "n_skipped": str(len(self.skipped)),
             "skipped_frac": repr(self.skipped_frac),
@@ -255,15 +251,6 @@ class LgocvResult:
         with open(path, "w") as fh:
             for k, v in lines.items():
                 fh.write(f"{k} = {v}\n")
-
-
-def predictive_density(model, gas, grid, i, groups, gh_order=DEFAULT_GH_ORDER):
-    """pi(y_i | y_-I_i) mixing corrected theta weights over the grid."""
-    res = compute_lgocv(model, grid, groups, gas=gas, test_indices=[i],
-                        gh_order=gh_order)
-    if res.skipped:
-        raise DowndateError(res.skipped[0][1])
-    return float(res.density[0])
 
 
 def fit_grid_approximations(model, grid):
@@ -447,11 +434,10 @@ def compute_lgocv(model, grid, groups, gas=None, test_indices=None,
 
 
 def compute_loocv(model, grid, gas=None, test_indices=None,
-                  gh_order=DEFAULT_GH_ORDER, threads=1):
+                  gh_order=DEFAULT_GH_ORDER):
     """LGOCV with singleton groups: plain leave-one-out."""
     from .groups import singleton_groups
     if test_indices is None:
         test_indices = range(model.n_obs)
     return compute_lgocv(model, grid, singleton_groups(test_indices), gas=gas,
-                         test_indices=test_indices, gh_order=gh_order,
-                         threads=threads)
+                         test_indices=test_indices, gh_order=gh_order)

@@ -219,12 +219,11 @@ def group_from_row(r, m, tie_tol):
     return np.sort(order[:ends[-1]])
 
 
-def build_groups(source, ga, m, tie_tol=1e-8, indices=None, max_size=None):
+def build_groups(source, ga, m, tie_tol=1e-8, indices=None):
     """Algorithm: per-observation union of the top-m correlation level sets."""
     if m < 1:
         raise GroupingError("level-set count m must be >= 1")
     n = ga.model.n_obs
-    cap = n if max_size is None else int(max_size)
     engine = _engine_for(source, ga)
     idx = np.arange(n) if indices is None else np.asarray(indices, dtype=int)
     groups = {}
@@ -232,16 +231,11 @@ def build_groups(source, ga, m, tie_tol=1e-8, indices=None, max_size=None):
     for start in starts:
         block = idx[start:start + RHS_BATCH]
         for i, r in zip(block, engine.rows(block)):
-            g = group_from_row(r, m, tie_tol)
-            if g.size > cap:
-                log.warning("group for observation %d has %d members (cap %d); "
-                            "a level set exploded", i, g.size, cap)
-            groups[int(i)] = g
+            groups[int(i)] = group_from_row(r, m, tie_tol)
     sizes = [g.size for g in groups.values()]
     log.debug("build_groups: m=%d, %d rows in %d RHS blocks, group size "
-              "mean %.3f max %d, %d over cap %d", m, idx.size, len(starts),
-              np.mean(sizes) if sizes else 0.0, max(sizes, default=0),
-              sum(s > cap for s in sizes), cap)
+              "mean %.3f max %d", m, idx.size, len(starts),
+              np.mean(sizes) if sizes else 0.0, max(sizes, default=0))
     return GroupSpec(groups, m, source, tie_tol)
 
 

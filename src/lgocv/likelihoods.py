@@ -41,8 +41,7 @@ class Gaussian:
     offset = None
 
     def validate(self, y):
-        if not np.all(np.isfinite(y)):
-            raise LikelihoodError("gaussian responses must be finite")
+        """Every finite response is in the support."""
 
     def _prec(self, hyper):
         if isinstance(self.precision, str):
@@ -74,8 +73,8 @@ class Poisson:
         if np.any(y < 0) or np.any(y != np.floor(y)):
             raise LikelihoodError("poisson responses must be nonnegative integers")
         E = np.asarray(self.offset, dtype=float)
-        if np.any(E <= 0):
-            raise LikelihoodError("poisson offsets must be strictly positive")
+        if not np.all(np.isfinite(E) & (E > 0)):
+            raise LikelihoodError("poisson offsets must be finite and positive")
 
     def _E(self, n):
         return _as_vector(self.offset, n, "offset")

@@ -94,6 +94,8 @@ class LgmModel:
         self.y = np.asarray(y, dtype=float)
         if self.y.shape != (self.n_obs,):
             raise ModelError("response length must match the design row count")
+        if not np.all(np.isfinite(self.y)):
+            raise LikelihoodError("responses must be finite")
         self.likelihood = likelihood
         likelihood.validate(self.y)
 
@@ -196,22 +198,11 @@ class LgmModel:
         hyper = self.hyper_dict(getattr(theta, "values", theta))
         return self.likelihood.derivatives(self.y, eta, hyper)
 
-    def loglik(self, theta, eta, y=None, idx=None):
-        """Log likelihood values, optionally for a subset of observations."""
+    def loglik(self, theta, eta):
+        """Log likelihood value per observation at linear predictors eta."""
         hyper = self.hyper_dict(getattr(theta, "values", theta))
-        yy = self.y if y is None else np.asarray(y, dtype=float)
-        eta = np.asarray(eta, dtype=float)
-        if idx is not None:
-            sub = self.subset_likelihood(idx)
-            return sub.log_density(yy, eta, hyper)
-        return self.likelihood.log_density(yy, eta, hyper)
-
-    def loglik_obs(self, theta, i, eta):
-        """Log density of observation i's likelihood across predictor values."""
-        hyper = self.hyper_dict(getattr(theta, "values", theta))
-        eta = np.asarray(eta, dtype=float)
-        fam = self.subset_likelihood(np.full(eta.size, int(i)))
-        return fam.log_density(np.full(eta.size, self.y[i]), eta, hyper)
+        return self.likelihood.log_density(self.y, np.asarray(eta, dtype=float),
+                                           hyper)
 
     def subset_likelihood(self, idx):
         """Likelihood family restricted to observations ``idx``."""

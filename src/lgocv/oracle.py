@@ -14,7 +14,7 @@ import numpy as np
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
-from .approx import find_mode, build_theta_grid, GridConfig, ThetaGrid
+from .approx import GRID_STEP, build_theta_grid, find_mode
 from .engine import fit_grid_approximations, gh_log_predictive, DEFAULT_GH_ORDER
 from .covariance import EtaMoments
 
@@ -57,14 +57,14 @@ def _eta_moments_on(ga_sub, row):
     return float((row @ ga_sub.mu)[0]), float((row @ x)[0])
 
 
-def _refit_group(model, I, thetas=None, grid_config=None):
+def _refit_group(model, I, thetas, step):
     """Refit on y_-I: (theta points, weights, fitted approximations)."""
     sub = model.drop_observations(np.asarray(I, dtype=int))
     if thetas is not None:
         pts = [sub.hyper_point(t) for t in np.atleast_2d(thetas)]
         weights = np.full(len(pts), 1.0 / len(pts))
         return pts, weights, [find_mode(sub, hp) for hp in pts]
-    grid = build_theta_grid(sub, grid_config or GridConfig())
+    grid = build_theta_grid(sub, step)
     return grid.points, grid.weights, fit_grid_approximations(sub, grid)
 
 
@@ -77,19 +77,20 @@ def _mix_predictive(model, i, pts, weights, gas_sub, gh_order):
     return float(dens)
 
 
-def refit_predictive(model, i, I, thetas=None, grid_config=None,
+def refit_predictive(model, i, I, thetas=None, step=GRID_STEP,
                      gh_order=DEFAULT_GH_ORDER):
     """pi(y_i | y_-I) by actually removing y_I and refitting.
 
     ``thetas`` fixes the hyperparameter points (equal treatment of a fixed
-    theta); otherwise the theta grid is rebuilt on the reduced data.
+    theta); otherwise the theta grid is rebuilt on the reduced data, with
+    grid spacing ``step``.
     """
-    pts, weights, gas_sub = _refit_group(model, I, thetas, grid_config)
+    pts, weights, gas_sub = _refit_group(model, I, thetas, step)
     return _mix_predictive(model, i, pts, weights, gas_sub, gh_order)
 
 
 def refit_predictive_all(model, groups, indices=None, thetas=None,
-                         grid_config=None, gh_order=DEFAULT_GH_ORDER):
+                         step=GRID_STEP, gh_order=DEFAULT_GH_ORDER):
     """Refit oracle for many observations, one refit per distinct group.
 
     Observations whose groups coincide (common with automatic groups) share
@@ -103,7 +104,7 @@ def refit_predictive_all(model, groups, indices=None, thetas=None,
     for i in indices:
         key = tuple(int(j) for j in groups[int(i)])
         if key not in cache:
-            cache[key] = _refit_group(model, key, thetas, grid_config)
+            cache[key] = _refit_group(model, key, thetas, step)
         pts, weights, gas_sub = cache[key]
         out[int(i)] = _mix_predictive(model, i, pts, weights, gas_sub, gh_order)
     return out
@@ -177,11 +178,6 @@ def lfocv_curve(model, steps, test_indices, gh_order=DEFAULT_GH_ORDER):
             mean, var = _eta_moments_on(ga_sub, model.design[t])
             sums[k] += gh_log_predictive(model, theta, t, mean, var, gh_order)
     return {k: sums[k] / len(test_indices) for k in steps}
-
-
-def lfocv(model, k, test_indices, gh_order=DEFAULT_GH_ORDER):
-    """Mean log k-step-ahead predictive density over the test range."""
-    return lfocv_curve(model, [k], test_indices, gh_order)[k]
 
 
 def map_levels_to_steps(steps, lfocv_utilities, lgocv_utilities):

@@ -13,7 +13,7 @@ from scipy.stats import multivariate_normal
 
 import lgocv.approx as approx
 from lgocv import simulate
-from lgocv.approx import GridConfig, build_theta_grid, find_mode, log_evidence
+from lgocv.approx import build_theta_grid, find_mode, log_evidence
 from lgocv.components import FixedEffects, Iid
 from lgocv.likelihoods import Gaussian, Poisson
 from lgocv.model import HyperSpec, LgmModel
@@ -119,10 +119,11 @@ def test_idempotence_at_converged_mode():
 def test_stationarity_residual():
     model = multilevel_poisson()
     theta = model.hyper_point(np.zeros(0))
-    ga = find_mode(model, theta, tol=1e-8)
+    ga = find_mode(model, theta)
     _, g1, _ = model.loglik_derivatives(theta, ga.eta_star)
     grad = -(ga.P @ ga.mu) + model.design.T @ g1
-    assert np.max(np.abs(grad)) <= 10 * 1e-8 * max(1.0, np.max(np.abs(ga.mu)))
+    bound = 10 * approx.NEWTON_TOL * max(1.0, np.max(np.abs(ga.mu)))
+    assert np.max(np.abs(grad)) <= bound
 
 
 def test_constrained_mode_satisfies_constraints():
@@ -214,7 +215,7 @@ class StubModel:
 
 def _stub_fits(monkeypatch, log_post):
     """Replace the mode fit by one Newton iteration that keeps theta."""
-    monkeypatch.setattr(approx, "find_mode", lambda model, theta, tol=1e-8, **kw:
+    monkeypatch.setattr(approx, "find_mode", lambda model, theta, **kw:
                         SimpleNamespace(theta=np.atleast_1d(theta), n_iter=1,
                                         n_lu=2, mu=np.zeros(1)))
     monkeypatch.setattr(approx, "log_evidence",
@@ -223,7 +224,7 @@ def _stub_fits(monkeypatch, log_post):
 
 def test_grid_symmetric_posterior_symmetric_weights(monkeypatch):
     _stub_fits(monkeypatch, lambda t: -20.0 * t[0] ** 2)
-    grid = build_theta_grid(StubModel(1), GridConfig())
+    grid = build_theta_grid(StubModel(1))
     pts = np.array([hp.values[0] for hp in grid.points])
     assert abs(grid.mode.values[0]) <= 1e-6
     assert grid.weights.sum() == pytest.approx(1.0, abs=1e-12)
@@ -233,9 +234,10 @@ def test_grid_symmetric_posterior_symmetric_weights(monkeypatch):
         assert w == pytest.approx(grid.weights[mirror], abs=1e-10)
 
 
-def test_grid_mixing_matches_fine_quadrature():
+def test_grid_mixing_matches_fine_quadrature(monkeypatch):
     model = gaussian_multilevel(hyper=True)
-    grid = build_theta_grid(model, GridConfig(step=0.5, drop_thresh=8.0))
+    monkeypatch.setattr(approx, "DROP_THRESH", 8.0)
+    grid = build_theta_grid(model, step=0.5)
     target = model.offsets["class"]          # first class effect
     mix = sum(w * find_mode(model, hp).mu[target]
               for hp, w in zip(grid.points, grid.weights))
@@ -289,8 +291,7 @@ def test_grid_debug_line_reports_the_search(monkeypatch, caplog):
     assert (d, distinct, newton, kept) == (1, len(fits), iters, len(grid))
     assert (warm, lu) == (warms, lus) and warm > 0
     assert evals > distinct
-    config = GridConfig()
-    half = int(np.ceil(np.sqrt(2 * config.drop_thresh) / config.step)) + 1
+    half = int(np.ceil(np.sqrt(2 * approx.DROP_THRESH) / approx.GRID_STEP)) + 1
     assert dropped == 2 * half + 1 - kept and dropped > 0
     # reporting only: the same grid as without the debug line
     assert [hp.values.tolist() for hp in grid.points] == \
@@ -393,27 +394,27 @@ def test_hessian_drops_zeros_like_scipy():
 
 # -- the grid's fits ----------------------------------------------------------
 
-def reference_theta_grid(model, config=None):
+def reference_theta_grid(model):
     """The grid with every point fitted cold: the build before grid points
     were warm-started.  Returns the mode, the points and their log
     posteriors."""
-    config = config or GridConfig()
+    step, drop = approx.GRID_STEP, approx.DROP_THRESH
     d = model.theta_dim
     cache = {}
 
     def lp(theta):
         key = tuple(np.round(np.atleast_1d(theta), 12))
         if key not in cache:
-            ga = find_mode(model, theta, tol=1e-8)
+            ga = find_mode(model, theta)
             cache[key] = log_evidence(model, ga) + model.log_hyper_prior(theta)
         return cache[key]
 
     res = minimize(lambda t: -lp(t), model.theta_init(), method="Nelder-Mead",
-                   options={"xatol": config.opt_tol, "fatol": 1e-10,
-                            "maxiter": config.max_opt_iter * d})
+                   options={"xatol": approx.OPT_TOL, "fatol": 1e-10,
+                            "maxiter": approx.MAX_OPT_ITER * d})
     theta_star = np.atleast_1d(res.x)
     lp_star = lp(theta_star)
-    h = config.hess_step * (1.0 + np.abs(theta_star))
+    h = approx.HESS_STEP * (1.0 + np.abs(theta_star))
     H = np.zeros((d, d))
     for i in range(d):
         ei = np.zeros(d)
@@ -428,13 +429,13 @@ def reference_theta_grid(model, config=None):
             ) / (4 * h[i] * h[j])
     w, V = np.linalg.eigh(-H)
     axes = V / np.sqrt(np.maximum(w, 1e-8))
-    half_width = int(np.ceil(np.sqrt(2 * config.drop_thresh) / config.step)) + 1
+    half_width = int(np.ceil(np.sqrt(2 * drop) / step)) + 1
     pts, lps = [], []
     for z in itertools.product(range(-half_width, half_width + 1), repeat=d):
         z = np.array(z, dtype=float)
-        theta = theta_star + config.step * (axes @ z)
+        theta = theta_star + step * (axes @ z)
         val = lp_star if not z.any() else lp(theta)
-        if val >= lp_star - config.drop_thresh:
+        if val >= lp_star - drop:
             pts.append(theta)
             lps.append(val)
     return theta_star, np.array(pts), np.array(lps)

@@ -217,6 +217,54 @@ def test_error_exits(tmp_path, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("step", ["0", "-1", "nan", "inf"])
+def test_bad_theta_grid_step_exits_2(tmp_path, capsys, step):
+    spec, data = class_files(tmp_path)
+    model_io = ["--model", spec, "--data", data]
+    out, groups = str(tmp_path / "out"), str(tmp_path / "g.txt")
+    for argv in (["fit", *model_io, "--out", out],
+                 ["groups", *model_io, "--groups-out", groups],
+                 ["cv", *model_io, "--out", out],
+                 ["simulate", "--scenario", "multilevel-gaussian", "--out", out]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--theta-grid-step", step])
+        assert exc.value.code == 2
+        assert "argument --theta-grid-step: must be a finite number > 0" in \
+            capsys.readouterr().err
+    assert not os.path.exists(out) and not os.path.exists(groups)
+
+
+def test_cv_non_finite_data_exits_2(tmp_path, capsys):
+    spec, data = class_files(tmp_path)
+    rows = Path(data).read_text().splitlines()
+    rows[3] = "nan," + rows[3].split(",", 1)[1]      # column y
+    Path(data).write_text("\n".join(rows) + "\n")
+    assert main(["cv", "--model", spec, "--data", data,
+                 "--out", str(tmp_path / "cv")]) == 2
+    err = capsys.readouterr().err
+    assert "error: responses must be finite" in err
+    assert "Traceback" not in err
+
+
+def test_simulate_refits_on_the_engine_grid_step(tmp_path, monkeypatch):
+    from lgocv import cli, oracle
+    steps = []
+    build = cli.build_theta_grid
+
+    def recorded(model, step):
+        steps.append(step)
+        return build(model, step)
+
+    monkeypatch.setattr(cli, "build_theta_grid", recorded)
+    monkeypatch.setattr(oracle, "build_theta_grid", recorded)
+    assert main(["simulate", "--scenario", "multilevel-gaussian",
+                 "--theta-grid-step", "0.5", "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "comparison.csv").read_text().strip().splitlines()
+    assert rows[0] == "index,engine_density,oracle_density,rel_error"
+    assert len(rows) == 101
+    assert len(steps) > 1 and set(steps) == {0.5}
+
+
 def test_groups_prior_subset_flag(tmp_path):
     spec, data = class_files(tmp_path)
     gpath = tmp_path / "prior_groups.txt"

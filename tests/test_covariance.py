@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from lgocv.approx import find_mode
-from lgocv.covariance import eta_covariance, eta_mean
+from lgocv.covariance import eta_covariance
 from lgocv.components import FixedEffects, Iid
 from lgocv.likelihoods import Gaussian, Poisson
 from lgocv.model import LgmModel
@@ -24,19 +24,21 @@ def zero_curvature_pair(constraint=None, e=0.0):
 def test_identity_map_returns_latent_mean():
     model = iid_identity_model(4, y=np.array([1.0, -1.0, 2.0, 0.0]))
     ga = find_mode(model, model.hyper_point(np.zeros(0)))
-    assert np.array_equal(eta_mean(ga, np.arange(4)), model.design @ ga.mu)
+    em = eta_covariance(ga, np.arange(4))
+    assert np.array_equal(em.mu, model.design @ ga.mu)
 
 
 def test_unconstrained_mean_without_constraints():
     model = iid_identity_model(3, y=np.array([1.0, 2.0, 3.0]))
     ga = find_mode(model, model.hyper_point(np.zeros(0)))
-    assert np.allclose(eta_mean(ga, [0, 2]), (model.design @ ga.mu_unc)[[0, 2]])
+    assert np.allclose(eta_covariance(ga, [0, 2]).mu,
+                       (model.design @ ga.mu_unc)[[0, 2]])
 
 
 def test_constrained_iid_pair_mean_sums_to_zero():
     ga = zero_curvature_pair(constraint=[1.0, 1.0], e=0.0)
     # symmetric data: likelihood carries no pull, constrained mean on C
-    mu = eta_mean(ga, [0, 1])
+    mu = eta_covariance(ga, [0, 1]).mu
     assert abs(mu.sum()) <= 1e-12
 
 
@@ -97,4 +99,4 @@ def test_index_validation():
     with pytest.raises(IndexError):
         eta_covariance(ga, [0, 0])
     with pytest.raises(IndexError):
-        eta_mean(ga, [5])
+        eta_covariance(ga, [5])

@@ -13,8 +13,7 @@ from lgocv.components import Iid
 from lgocv.covariance import EtaMoments, eta_covariance
 from lgocv.engine import (DowndateError, LeaveGroupMoments, compute_lgocv,
                           compute_loocv, downdate, fit_grid_approximations,
-                          gh_log_predictive, predictive_density,
-                          theta_correction)
+                          gh_log_predictive, theta_correction)
 from lgocv.groups import CorrelationSource, build_groups, singleton_groups
 from lgocv.likelihoods import Binomial, Exponential, Gaussian, Poisson
 from lgocv.model import LgmModel
@@ -119,9 +118,12 @@ def test_conjugate_predictive_closed_form():
     model = conjugate_pair(0.0, 0.0)
     grid = build_theta_grid(model)
     gas = [find_mode(model, hp) for hp in grid.points]
-    dens = predictive_density(model, gas, grid, 1, singleton_groups([1]))
+    res = compute_lgocv(model, grid, singleton_groups([1]), gas=gas,
+                        test_indices=[1])
+    assert res.skipped == []
     # pi(y2 | y1 = 0) = N(0; 0, 1/2 + 1)
-    assert dens == pytest.approx(norm.pdf(0.0, scale=np.sqrt(1.5)), abs=1e-12)
+    want = norm.pdf(0.0, scale=np.sqrt(1.5))
+    assert float(res.density[0]) == pytest.approx(want, abs=1e-12)
 
 
 def test_theta_correction_exact_for_gaussian():
@@ -155,7 +157,9 @@ def test_theta_correction_against_monte_carlo():
         eta = lgm.mu + z @ B.T
         ll = np.zeros(eta.shape[0])
         for pos, i in enumerate(I):
-            ll += model.loglik_obs(theta, int(i), eta[:, pos])
+            fam = model.subset_likelihood(np.full(eta.shape[0], i))
+            ll += fam.log_density(np.full(eta.shape[0], model.y[i]), eta[:, pos],
+                                  model.hyper_dict(theta.values))
         wts = np.exp(ll)
         s1 += wts.sum()
         s2 += (wts * wts).sum()

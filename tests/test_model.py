@@ -3,7 +3,8 @@ import pytest
 import scipy.sparse as sp
 
 from lgocv.components import FixedEffects, Iid, Rw1
-from lgocv.likelihoods import Gaussian, Poisson
+from lgocv.likelihoods import (Binomial, Exponential, Gaussian, LikelihoodError,
+                               Poisson)
 from lgocv.model import HyperSpec, LgmModel, ModelError
 
 from conftest import iid_identity_model
@@ -110,12 +111,17 @@ def test_subset_likelihood_slices_parameters():
     sub = model.keep_observations([2, 0])
     assert np.array_equal(np.asarray(sub.likelihood.offset), [3.0, 1.0])
     assert np.array_equal(sub.y, [2.0, 0.0])
-
-
-def test_loglik_obs_matches_vector_form():
-    model = iid_identity_model(3, obs_prec=2.0, y=np.array([0.5, -0.5, 1.0]))
-    theta = model.hyper_point(np.zeros(0))
+    # one observation repeated across predictor values
     eta = np.linspace(-1, 1, 5)
-    per_obs = model.loglik_obs(theta, 1, eta)
-    direct = model.likelihood.log_density(np.full(5, model.y[1]), eta, {})
-    assert np.array_equal(per_obs, direct)
+    y1 = np.full(5, model.y[1])
+    per_obs = model.subset_likelihood(np.full(5, 1)).log_density(y1, eta, {})
+    assert np.array_equal(per_obs, Poisson(offset=2.0).log_density(y1, eta, {}))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("family", [Gaussian(), Poisson(), Binomial(n_trials=3.0),
+                                    Exponential()], ids=lambda f: f.kind)
+def test_non_finite_responses_rejected(family, bad):
+    with pytest.raises(LikelihoodError, match="responses must be finite"):
+        LgmModel([Iid("u", 2, log_prec=1.0)], sp.identity(2, format="csr"),
+                 family, np.array([1.0, bad]))

@@ -10,8 +10,8 @@ from lgocv.engine import downdate
 from lgocv.groups import build_groups, CorrelationSource
 from lgocv.likelihoods import Gaussian
 from lgocv.model import LgmModel
-from lgocv.oracle import (OracleReport, dense_downdate_oracle, lfocv,
-                          lfocv_curve, map_levels_to_steps, refit_predictive,
+from lgocv.oracle import (OracleReport, dense_downdate_oracle, lfocv_curve,
+                          map_levels_to_steps, refit_predictive,
                           refit_predictive_all)
 
 from conftest import conjugate_pair, multilevel_poisson
@@ -74,7 +74,7 @@ def test_lfocv_matches_kalman_filter():
     model, (rho, tau, obs_prec) = ar1_only(n=30)
     tests = list(range(10, 30))
     for k in (1, 3):
-        got = lfocv(model, k, tests)
+        got = lfocv_curve(model, [k], tests)[k]
         want = np.mean([kalman_forecast_logpdf(model.y, t, k, rho, tau,
                                                obs_prec) for t in tests])
         assert got == pytest.approx(want, abs=1e-6)
@@ -85,18 +85,19 @@ def test_lfocv_curve_shares_horizons():
     tests = [10, 15]
     curve = lfocv_curve(model, [1, 2, 4], tests)
     for k in (1, 2, 4):
-        assert curve[k] == pytest.approx(lfocv(model, k, tests), abs=1e-12)
+        assert curve[k] == pytest.approx(lfocv_curve(model, [k], tests)[k],
+                                         abs=1e-12)
     assert curve[1] > curve[2] > curve[4]
 
 
 def test_lfocv_argument_errors():
     model, _ = ar1_only(n=10)
     with pytest.raises(ValueError):
-        lfocv(model, 0, [5])
+        lfocv_curve(model, [0], [5])
     with pytest.raises(ValueError):
-        lfocv(model, 6, [5])          # would condition on nothing
+        lfocv_curve(model, [6], [5])          # would condition on nothing
     with pytest.raises(IndexError):
-        lfocv(model, 1, [10])
+        lfocv_curve(model, [1], [10])
 
 
 def test_map_levels_to_steps_round_trip():
