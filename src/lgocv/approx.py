@@ -4,6 +4,12 @@ Newton iteration finds the mode of pi(f | theta, y); linear constraints are
 enforced at every step by conditioning by kriging (solve unconstrained, then
 project).  The factorized posterior precision and the kriging workspace are
 kept on the returned state and reused by all downstream covariance work.
+
+What theta does not change is computed once per model, in its fit plan:
+the prior pattern, the pattern of the Newton matrix Q = P + A' diag(c) A,
+and the column ordering of Q's LU (Rue & Held 2005, sec. 2.4: a GMRF's
+fill-reducing ordering depends on its graph only).  A fit computes values
+only: P's and Q's entries, and LUs of Q that reuse the ordering.
 """
 
 from __future__ import annotations
@@ -41,11 +47,11 @@ class FactorizationError(RuntimeError):
     pass
 
 
-def _splu(Q):
+def _splu(Q, permc_spec=None):
     """Sparse LU of a CSC matrix Q and the diagonal of its U factor,
     checked finite."""
     try:
-        lu = spla.splu(Q)
+        lu = spla.splu(Q, permc_spec=permc_spec)
     except RuntimeError as exc:
         raise FactorizationError(f"sparse factorization failed: {exc}") from exc
     pivots = lu.U.diagonal()
@@ -91,50 +97,83 @@ class _DesignTerms:
         self.codes, self.inverse = _unique(codes)
 
 
-# A memo of a function of the (immutable) model, dropped with the model.
-_DESIGN_TERMS = weakref.WeakKeyDictionary()
+class _FitPlan:
+    """What every Newton fit of one model shares.
 
-
-def _design_terms(model):
-    """The model's ``_DesignTerms``, built on its first fit."""
-    terms = _DESIGN_TERMS.get(model)
-    if terms is None:
-        terms = _DESIGN_TERMS[model] = _DesignTerms(model.design)
-    return terms
-
-
-class _Hessian:
-    """Q(c) = P + A' diag(c) A on the union of P's pattern and the terms'.
-
-    Each entry is scipy's ``(P + A.T @ sp.diags(c) @ A)``: the products
-    (a_ij c_i) a_ik summed in ascending i, then P added, and exact zeros
-    dropped.  The result is that matrix with its indices sorted, which is
-    the form ``splu`` factorizes.
+    ``hessian`` gives Q(c) = P + A' diag(c) A on the union of the prior
+    pattern ``prior`` and the design terms', each entry as scipy's
+    ``(P + A.T @ sp.diags(c) @ A)``: the products (a_ij c_i) a_ik summed in
+    ascending i, then P added, exact zeros dropped, indices sorted.  The
+    first LU of a Q with the whole pattern runs COLAMD; later ones factorize
+    Q Pc, Pc that column ordering, with no ordering step, and solve and
+    pivot bitwise as a fresh ``splu`` of Q.  A Q that lost entries to
+    ``eliminate_zeros`` is ordered afresh.
     """
 
-    def __init__(self, terms, P):
-        p = terms.p
-        P = P.tocoo()
-        union, at = _unique(np.concatenate(
-            [terms.codes, P.col.astype(np.int64) * p + P.row]))
-        n_terms = terms.codes.size
-        self.terms = terms
-        self.pos = at[:n_terms][terms.inverse]
-        # P's entries summed in storage order, as scipy's sum adds them
-        self.p_data = np.bincount(at[n_terms:], weights=P.data,
-                                  minlength=union.size)
-        self.indices = (union % p).astype(np.int32)
-        self.indptr = np.searchsorted(union // p, np.arange(p + 1)).astype(np.int32)
+    def __init__(self, design, prior):
+        self.prior = prior
+        t = self.terms = _DesignTerms(design)
+        prior = prior.tocoo()
+        self.codes, at = _unique(np.concatenate(
+            [t.codes, prior.col.astype(np.int64) * t.p + prior.row]))
+        self.pos = at[:t.codes.size][t.inverse]
+        self.p_pos = at[t.codes.size:]
+        self.indices = (self.codes % t.p).astype(np.int32)
+        self.indptr = np.searchsorted(self.codes // t.p, np.arange(t.p + 1)).astype(np.int32)
+        self.ordering = None
 
-    def __call__(self, c):
+    def scatter(self, P):
+        """P (``prior`` or a part of it) summed onto the pattern as scipy does."""
+        pos = self.p_pos
+        if P.nnz != pos.size:
+            P = P.tocoo()
+            pos = np.searchsorted(self.codes, P.col.astype(np.int64) * self.terms.p + P.row)
+        return np.bincount(pos, weights=P.data, minlength=self.codes.size)
+
+    def hessian(self, c, p_data):
+        """Q at curvatures c for the prior whose ``scatter`` is p_data."""
         t = self.terms
         data = np.bincount(self.pos, weights=(t.a_j * c[t.rows]) * t.a_k,
-                           minlength=self.p_data.size) + self.p_data
+                           minlength=p_data.size) + p_data
         Q = sp.csc_matrix((data, self.indices, self.indptr), shape=(t.p, t.p))
         if not data.all():
             Q = Q.copy()               # eliminate_zeros edits the pattern in place
             Q.eliminate_zeros()
         return Q
+
+    def factorize(self, Q):
+        """(solve, pivots, ordered) for Q, ``ordered`` if COLAMD ran."""
+        whole = Q.nnz == self.codes.size
+        if not whole or self.ordering is None:
+            lu, pivots = _splu(Q)
+            if whole:                  # a copy: perm_c is a view that pins the LU
+                self._keep(lu.perm_c.copy())
+            return lu.solve, pivots, True
+        perm_c, take, indices, indptr = self.ordering
+        lu, pivots = _splu(sp.csc_matrix((Q.data[take], indices, indptr),
+                                         shape=Q.shape), permc_spec="NATURAL")
+        # x = Pc y in one copy, kept in the Fortran order SuperLU returns
+        return (lambda rhs: np.take(lu.solve(rhs).T, perm_c, axis=-1).T), pivots, False
+
+    def _keep(self, perm_c):
+        """The take map of Q Pc = Q[:, argsort(perm_c)] on the pattern."""
+        order = np.argsort(perm_c)
+        counts = np.diff(self.indptr)[order]
+        indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
+        take = np.repeat(self.indptr[order] - indptr[:-1], counts) + np.arange(self.codes.size)
+        self.ordering = (perm_c, take, self.indices[take], indptr)
+
+
+# One plan per (immutable) model, dropped with the model.
+_FIT_PLANS = weakref.WeakKeyDictionary()
+
+
+def _fit_plan(model):
+    plan = _FIT_PLANS.get(model)
+    if plan is None:
+        plan = _FIT_PLANS[model] = _FitPlan(model.design, sp.block_diag(
+            [c._pattern for c in model.components], format="csc"))
+    return plan
 
 
 class _Linearization(NamedTuple):
@@ -142,8 +181,9 @@ class _Linearization(NamedTuple):
 
     c: np.ndarray               # -g''(eta), clipped at 0
     b: np.ndarray               # g'(eta) - g''(eta) eta
-    lu: object                  # LU of Q = P + A' diag(c) A
+    solve: object               # x -> Q^{-1} x, Q = P + A' diag(c) A
     pivots: np.ndarray          # diagonal of U
+    ordered: bool               # whether the LU computed its column ordering
     mu_unc: np.ndarray          # Q^{-1} A' b
     mu: np.ndarray              # mu_unc kriged onto the constraints
     constraint_w: object        # Q^{-1} C', or None without constraints
@@ -156,12 +196,13 @@ class GaussianApprox:
 
     Holds the constrained mode ``mu``, the factorized posterior precision
     Q_f = P_f + A' C A, the linearization (b, c) at the mode, and the
-    precomputed constraint solves shared by every group.  ``n_iter`` and
-    ``n_lu`` count the Newton iterations and sparse LU factorizations of
-    the fit.  Immutable once published; concurrent read-only use is safe.
+    precomputed constraint solves shared by every group.  ``n_iter``,
+    ``n_lu`` and ``n_orderings`` count the Newton iterations, sparse LU
+    factorizations and column orderings computed in the fit.  Immutable
+    once published; concurrent read-only use is safe.
     """
 
-    def __init__(self, model, theta, lin, g, P, n_iter, n_lu):
+    def __init__(self, model, theta, lin, g, P, n_iter, n_lu, n_orderings):
         self.model = model
         self.theta = theta
         self.mu = lin.mu                # constrained latent mean
@@ -172,7 +213,8 @@ class GaussianApprox:
         self.P = P
         self.n_iter = n_iter
         self.n_lu = n_lu
-        self._lu = lin.lu
+        self.n_orderings = n_orderings
+        self._solve = lin.solve
         self.eta_star = model.design @ lin.mu
         self.log_det_q = float(np.sum(np.log(np.abs(lin.pivots))))
         self.constraint_w = lin.constraint_w
@@ -183,7 +225,7 @@ class GaussianApprox:
         """Q_f x = rhs for one or many right-hand sides."""
         rhs = np.asarray(rhs, dtype=float)
         squeeze = rhs.ndim == 1
-        x = self._lu.solve(rhs if not squeeze else rhs[:, None])
+        x = self._solve(rhs if not squeeze else rhs[:, None])
         return x[:, 0] if squeeze else x
 
     def constrain(self, x):
@@ -203,24 +245,25 @@ def _feasible_start(model):
     return C.T @ np.linalg.solve(C @ C.T, e)
 
 
-def _linearize(hessian, At, C_e, eta, g1, g2):
+def _linearize(plan, p_data, At, C_e, eta, g1, g2):
     """Quadratic model of the log posterior at eta, factorized and solved.
 
-    Factorizes Q = ``hessian(c)``, solves Q mu_unc = A' b (``At`` is A')
-    and kriges mu_unc onto the constraints ``C_e``.
+    Factorizes Q = ``plan.hessian(c, p_data)``, solves Q mu_unc = A' b
+    (``At`` is A') and kriges mu_unc onto the constraints ``C_e``.
     """
     c = np.maximum(-g2, 0.0)
     b = g1 - g2 * eta
-    lu, pivots = _splu(hessian(c))
-    mu_unc = lu.solve(At @ b)
+    solve, pivots, ordered = plan.factorize(plan.hessian(c, p_data))
+    mu_unc = solve(At @ b)
     if C_e is None:
-        return _Linearization(c, b, lu, pivots, mu_unc, mu_unc, None, None, None)
+        return _Linearization(c, b, solve, pivots, ordered, mu_unc, mu_unc,
+                              None, None, None)
     C, e = C_e
-    W = lu.solve(C.T)
+    W = solve(C.T)
     gram = C @ W
     cho = cho_factor(gram)
     mu = mu_unc - W @ cho_solve(cho, C @ mu_unc - e)
-    return _Linearization(c, b, lu, pivots, mu_unc, mu, W, gram, cho)
+    return _Linearization(c, b, solve, pivots, ordered, mu_unc, mu, W, gram, cho)
 
 
 def find_mode(model, theta, init=None):
@@ -231,7 +274,8 @@ def find_mode(model, theta, init=None):
     theta = theta if hasattr(theta, "values") else model.hyper_point(theta)
     A = model.design
     P = model.prior_precision(theta)
-    hessian = _Hessian(_design_terms(model), P)
+    plan = _fit_plan(model)
+    p_data = plan.scatter(P)
     At = A.T
     C_e = model.constraints
 
@@ -239,10 +283,13 @@ def find_mode(model, theta, init=None):
     eta = A @ f
     g, g1, g2 = model.loglik_derivatives(theta, eta)
     obj = -0.5 * f @ (P @ f) + g.sum()
+    orderings = 0
 
     for it in range(1, MAX_NEWTON_ITER + 1):
-        mu = _linearize(hessian, At, C_e, eta, g1, g2).mu
-        step = mu - f
+        lin = _linearize(plan, p_data, At, C_e, eta, g1, g2)
+        orderings += lin.ordered
+        step = lin.mu - f
+        del lin                        # free its LU before the next is made
         alpha = 1.0
         for _ in range(40):
             f_new = f + alpha * step
@@ -261,10 +308,11 @@ def find_mode(model, theta, init=None):
         if delta <= NEWTON_TOL:
             # refresh the linearization at the accepted point: one LU per
             # Newton step plus this one
-            lin = _linearize(hessian, At, C_e, eta, g1, g2)
+            lin = _linearize(plan, p_data, At, C_e, eta, g1, g2)
             g_m = model.loglik(theta, A @ lin.mu)
             return GaussianApprox(model, theta, lin, g=g_m, P=P, n_iter=it,
-                                  n_lu=it + 1)
+                                  n_lu=it + 1,
+                                  n_orderings=orderings + lin.ordered)
 
     raise ModeFindingError(f"Newton did not converge in {MAX_NEWTON_ITER} "
                            f"iterations (theta={np.asarray(theta.values)})")
@@ -354,8 +402,9 @@ def build_theta_grid(model, step=GRID_STEP):
     mode of a kept neighbour one step nearer the centre (or of the centre),
     and the grid keeps the fits of the points it keeps.  Each call logs one debug
     line: d, the log-posterior evaluations, the fits (warm-started ones
-    among them), their Newton iterations and LU factorizations, the points
-    kept and dropped, and whether the empirical-Bayes fallback was taken.
+    among them), their Newton iterations, LU factorizations and column
+    orderings computed, the points kept and dropped, and whether the
+    empirical-Bayes fallback was taken.
     """
     d = model.theta_dim
     cache, stats, best = {}, Counter(), {}
@@ -363,10 +412,11 @@ def build_theta_grid(model, step=GRID_STEP):
     def report(kept, dropped, fallback):
         log.debug("grid: d=%d, %d log-posterior evaluations, %d distinct fits "
                   "(%d warm-started), %d Newton iterations, "
-                  "%d LU factorizations, %d points kept, %d dropped, "
-                  "empirical-Bayes fallback %s", d, stats["evaluations"],
-                  stats["fits"], stats["warm"], stats["newton_iters"],
-                  stats["lu"], kept, dropped, "yes" if fallback else "no")
+                  "%d LU factorizations (column orderings computed: %d), "
+                  "%d points kept, %d dropped, empirical-Bayes fallback %s",
+                  d, stats["evaluations"], stats["fits"], stats["warm"],
+                  stats["newton_iters"], stats["lu"], stats["orderings"],
+                  kept, dropped, "yes" if fallback else "no")
 
     if d == 0:
         hp = model.hyper_point(np.zeros(0))
@@ -379,6 +429,7 @@ def build_theta_grid(model, step=GRID_STEP):
         stats["warm"] += init is not None
         stats["newton_iters"] += ga.n_iter
         stats["lu"] += ga.n_lu
+        stats["orderings"] += ga.n_orderings
         return ga, log_evidence(model, ga) + model.log_hyper_prior(theta)
 
     def key(theta):

@@ -291,8 +291,9 @@ def build_parser():
         sp.add_argument("--graph", help="besag adjacency edge list")
 
     def add_grid_step(sp):
-        sp.add_argument("--theta-grid-step", type=_grid_step, default=GRID_STEP,
-                        help="theta grid spacing in standardized units")
+        sp.add_argument("--theta-grid-step", type=_grid_step,
+                        help="theta grid spacing in standardized units "
+                             f"(default {GRID_STEP})")
 
     def add_group_opts(sp):
         sp.add_argument("--source", choices=["prior", "posterior"],
@@ -350,7 +351,13 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "state", None) and args.theta_grid_step is not None:
+        parser.error("--theta-grid-step cannot be combined with --state: "
+                     "the fitted state fixes the theta grid")
+    if getattr(args, "theta_grid_step", GRID_STEP) is None:
+        args.theta_grid_step = GRID_STEP
     try:
         return args.func(args)
     except CliError as exc:

@@ -42,8 +42,42 @@ def _resolve_rho(value, hyper):
     return rho
 
 
+def on_pattern(pattern, u, scale):
+    """``pattern`` holding u * scale, without the entries whose u is 0: a
+    dia -> csc conversion drops those before the scale is applied."""
+    keep = u != 0
+    indices, indptr = pattern.indices, pattern.indptr
+    if not keep.all():
+        indices, indptr = indices[keep], np.r_[0, np.cumsum(keep)][indptr]
+    return sp.csc_matrix(((u * scale)[keep], indices, indptr), shape=pattern.shape)
+
+
+class _Block:
+    """A precision block on a fixed, sorted CSC ``_pattern`` (by default the
+    identity), whose entries ``precision_values(hyper)`` gives as
+    (u, scale): by default the pattern's own entries and the precision."""
+
+    @cached_property
+    def _pattern(self):
+        return sp.identity(self.size, format="csc")
+
+    def precision_values(self, hyper):
+        return self._pattern.data, _resolve_log_prec(self.log_prec, hyper)
+
+    def precision(self, hyper):
+        return on_pattern(self._pattern, *self.precision_values(hyper))
+
+    def hypers(self):
+        """Names of the hyperparameters the block's entries depend on."""
+        return tuple(v for v in (getattr(self, "log_prec", None),
+                                 getattr(self, "rho", None)) if isinstance(v, str))
+
+    def constraint_rows(self):
+        return []
+
+
 @dataclass(frozen=True)
-class FixedEffects:
+class FixedEffects(_Block):
     """Fixed-effects block with a proper vague Gaussian prior."""
 
     name: str
@@ -52,23 +86,16 @@ class FixedEffects:
 
     kind = "fixed"
     intrinsic = False
-    hyper_names = ()
 
-    def hypers(self):
-        return ()
-
-    def precision(self, hyper):
-        return sp.identity(self.size, format="csc") * self.prec
+    def precision_values(self, hyper):
+        return self._pattern.data, self.prec
 
     def log_det(self, hyper):
         return self.size * np.log(self.prec)
 
-    def constraint_rows(self):
-        return []
-
 
 @dataclass(frozen=True)
-class Iid:
+class Iid(_Block):
     name: str
     size: int
     log_prec: float | str = 1.0
@@ -76,23 +103,13 @@ class Iid:
     kind = "iid"
     intrinsic = False
 
-    def hypers(self):
-        return (self.log_prec,) if isinstance(self.log_prec, str) else ()
-
-    def precision(self, hyper):
-        tau = _resolve_log_prec(self.log_prec, hyper)
-        return sp.identity(self.size, format="csc") * tau
-
     def log_det(self, hyper):
         tau = _resolve_log_prec(self.log_prec, hyper)
         return self.size * np.log(tau)
 
-    def constraint_rows(self):
-        return []
-
 
 @dataclass(frozen=True)
-class Ar1:
+class Ar1(_Block):
     """Stationary AR(1) block parameterized by marginal precision and rho."""
 
     name: str
@@ -103,26 +120,22 @@ class Ar1:
     kind = "ar1"
     intrinsic = False
 
-    def hypers(self):
-        out = []
-        if isinstance(self.log_prec, str):
-            out.append(self.log_prec)
-        if isinstance(self.rho, str):
-            out.append(self.rho)
-        return tuple(out)
+    @cached_property
+    def _pattern(self):
+        s = self.size
+        return sp.diags([np.ones(s - 1), np.full(s, 2.0), np.ones(s - 1)],
+                        [-1, 0, 1], format="csc").sorted_indices()
 
-    def precision(self, hyper):
+    def precision_values(self, hyper):
+        """-rho off the diagonal, 1 + rho^2 on it and 1 at its two ends (the
+        first and last entries), scaled by tau / (1 - rho^2)."""
         tau = _resolve_log_prec(self.log_prec, hyper)
         rho = _resolve_rho(self.rho, hyper)
-        s = self.size
-        if s == 1:
-            return sp.csc_matrix(np.array([[tau]]))
-        scale = tau / (1.0 - rho * rho)
-        main = np.full(s, 1.0 + rho * rho)
-        main[0] = main[-1] = 1.0
-        off = np.full(s - 1, -rho)
-        Q = sp.diags([off, main, off], [-1, 0, 1], format="csc") * scale
-        return Q
+        if self.size == 1:
+            return np.array([tau]), 1.0
+        u = np.where(self._pattern.data == 2.0, 1.0 + rho * rho, -rho)
+        u[[0, -1]] = 1.0
+        return u, tau / (1.0 - rho * rho)
 
     def log_det(self, hyper):
         tau = _resolve_log_prec(self.log_prec, hyper)
@@ -130,12 +143,13 @@ class Ar1:
         # covariance is the Toeplitz rho^|i-j| / tau
         return self.size * np.log(tau) - (self.size - 1) * np.log1p(-rho * rho)
 
-    def constraint_rows(self):
-        return []
 
-
-class _IntrinsicStructure:
+class _IntrinsicStructure(_Block):
     """An intrinsic component's fixed structure matrix ``_structure``."""
+
+    @property
+    def _pattern(self):
+        return self._structure
 
     def null_basis(self):
         """(size, k) basis of the null space of ``_structure``: by default
@@ -153,6 +167,10 @@ class _IntrinsicStructure:
         tol = max(w.max(), 1.0) * 1e-10
         return float(np.sum(np.log(w[w > tol])))
 
+    def log_det(self, hyper):
+        tau = _resolve_log_prec(self.log_prec, hyper)
+        return (self.size - self.null_dim) * np.log(tau) + self._structure_logdet
+
 
 @dataclass(frozen=True)
 class Rw1(_IntrinsicStructure):
@@ -163,9 +181,6 @@ class Rw1(_IntrinsicStructure):
 
     kind = "rw1"
     intrinsic = True
-
-    def hypers(self):
-        return (self.log_prec,) if isinstance(self.log_prec, str) else ()
 
     @cached_property
     def _structure(self):
@@ -180,14 +195,6 @@ class Rw1(_IntrinsicStructure):
                          shape=(s - 1, s), format="csc")
         return (D.T @ D).tocsc()
 
-    def precision(self, hyper):
-        tau = _resolve_log_prec(self.log_prec, hyper)
-        return self._structure * tau
-
-    def log_det(self, hyper):
-        tau = _resolve_log_prec(self.log_prec, hyper)
-        return (self.size - 1) * np.log(tau) + self._structure_logdet
-
     def constraint_rows(self):
         return [np.ones(self.size)]
 
@@ -201,9 +208,6 @@ class Rw2(_IntrinsicStructure):
     kind = "rw2"
     intrinsic = True
 
-    def hypers(self):
-        return (self.log_prec,) if isinstance(self.log_prec, str) else ()
-
     @cached_property
     def _structure(self):
         s = self.size
@@ -212,14 +216,6 @@ class Rw2(_IntrinsicStructure):
         D = sp.diags([np.ones(s - 2), -2.0 * np.ones(s - 2), np.ones(s - 2)],
                      [0, 1, 2], shape=(s - 2, s), format="csc")
         return (D.T @ D).tocsc()
-
-    def precision(self, hyper):
-        tau = _resolve_log_prec(self.log_prec, hyper)
-        return self._structure * tau
-
-    def log_det(self, hyper):
-        tau = _resolve_log_prec(self.log_prec, hyper)
-        return (self.size - 2) * np.log(tau) + self._structure_logdet
 
     def constraint_rows(self):
         return [np.ones(self.size)]
@@ -295,9 +291,6 @@ class Besag(_IntrinsicStructure):
     def size(self):
         return len(self.adjacency)
 
-    def hypers(self):
-        return (self.log_prec,) if isinstance(self.log_prec, str) else ()
-
     @cached_property
     def _blocks(self):
         return _connected_blocks(self.adjacency)
@@ -311,15 +304,6 @@ class Besag(_IntrinsicStructure):
             for j in nbrs:
                 R[i, j] = -1.0
         return R.tocsc()
-
-    def precision(self, hyper):
-        tau = _resolve_log_prec(self.log_prec, hyper)
-        return self._structure * tau
-
-    def log_det(self, hyper):
-        tau = _resolve_log_prec(self.log_prec, hyper)
-        rank = self.size - self.null_dim
-        return rank * np.log(tau) + self._structure_logdet
 
     def constraint_rows(self):
         rows = []

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from .approx import _fit_plan
+from .components import on_pattern
 from .likelihoods import LikelihoodError
 
 
@@ -177,10 +179,11 @@ class LgmModel:
             c.null_dim for c in self.components if c.intrinsic)
 
     def prior_precision(self, theta):
-        """Block-diagonal joint prior precision P_f(theta)."""
+        """Block-diagonal joint prior precision P_f(theta), on a fixed pattern."""
         hyper = self.hyper_dict(getattr(theta, "values", theta))
-        blocks = [c.precision(hyper) for c in self.components]
-        P = sp.block_diag(blocks, format="csc")
+        u, scale = zip(*(c.precision_values(hyper) for c in self.components))
+        P = on_pattern(_fit_plan(self).prior, np.concatenate(u),
+                       np.repeat(scale, [v.size for v in u]))
         if not np.all(np.isfinite(P.data)):
             raise ModelError("non-finite prior precision entries")
         return P

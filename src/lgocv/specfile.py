@@ -97,9 +97,9 @@ def _parse_spec(path):
 
 def _index_column(data, sec, name, size):
     raw = _column(data, sec["index"], f"component {name}")
-    idx = raw.astype(int)
-    if np.any(raw != idx):
+    if not np.all(np.isfinite(raw) & (raw == np.round(raw))):
         raise SpecError(f"component {name}: index column must hold integers")
+    idx = raw.astype(int)
     inferred = int(idx.max()) + 1
     size = int(sec.get("size", inferred))
     if idx.min() < 0 or idx.max() >= size:

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.integrate import quad
 from scipy.optimize import minimize
 from scipy.special import gammaln
@@ -14,7 +15,7 @@ from scipy.stats import multivariate_normal
 import lgocv.approx as approx
 from lgocv import simulate
 from lgocv.approx import build_theta_grid, find_mode, log_evidence
-from lgocv.components import FixedEffects, Iid
+from lgocv.components import Ar1, FixedEffects, Iid
 from lgocv.likelihoods import Gaussian, Poisson
 from lgocv.model import HyperSpec, LgmModel
 
@@ -217,7 +218,7 @@ def _stub_fits(monkeypatch, log_post):
     """Replace the mode fit by one Newton iteration that keeps theta."""
     monkeypatch.setattr(approx, "find_mode", lambda model, theta, **kw:
                         SimpleNamespace(theta=np.atleast_1d(theta), n_iter=1,
-                                        n_lu=2, mu=np.zeros(1)))
+                                        n_lu=2, n_orderings=1, mu=np.zeros(1)))
     monkeypatch.setattr(approx, "log_evidence",
                         lambda model, ga: float(log_post(ga.theta)))
 
@@ -259,7 +260,8 @@ def test_grid_mixing_matches_fine_quadrature(monkeypatch):
 
 GRID_LINE = re.compile(r"grid: d=(\d+), (\d+) log-posterior evaluations, "
                        r"(\d+) distinct fits \((\d+) warm-started\), "
-                       r"(\d+) Newton iterations, (\d+) LU factorizations, "
+                       r"(\d+) Newton iterations, (\d+) LU factorizations "
+                       r"\(column orderings computed: (\d+)\), "
                        r"(\d+) points kept, (\d+) dropped, "
                        r"empirical-Bayes fallback (yes|no)$")
 
@@ -271,25 +273,30 @@ def _grid_lines(caplog):
 
 def test_grid_debug_line_reports_the_search(monkeypatch, caplog):
     model = gaussian_multilevel(hyper=True)
-    quiet = build_theta_grid(model)
+    quiet = build_theta_grid(gaussian_multilevel(hyper=True))
     fits = []
     find = approx.find_mode
 
     def counted(*args, **kwargs):
         ga = find(*args, **kwargs)
-        fits.append((ga.n_iter, ga.n_lu, kwargs.get("init") is not None))
+        fits.append((ga.n_iter, ga.n_lu, ga.n_orderings,
+                     kwargs.get("init") is not None))
         return ga
 
     monkeypatch.setattr(approx, "find_mode", counted)
     with caplog.at_level(logging.DEBUG, logger="lgocv.approx"):
         grid = build_theta_grid(model)
-    (line,) = _grid_lines(caplog)
-    d, evals, distinct, warm, newton, lu, kept, dropped = \
-        map(int, line.groups()[:8])
-    assert line.group(9) == "no"
-    iters, lus, warms = (sum(col) for col in zip(*fits))
-    assert (d, distinct, newton, kept) == (1, len(fits), iters, len(grid))
-    assert (warm, lu) == (warms, lus) and warm > 0
+        build_theta_grid(model)
+    first, again = _grid_lines(caplog)
+    d, evals, distinct, warm, newton, lu, orderings, kept, dropped = \
+        map(int, first.groups()[:9])
+    assert first.group(10) == "no"
+    iters, lus, ordered, warms = (sum(col) for col in zip(*fits[:len(fits) // 2]))
+    assert (d, distinct, newton, kept) == (1, len(fits) // 2, iters, len(grid))
+    assert (warm, lu, orderings) == (warms, lus, ordered) and warm > 0
+    # one column ordering per model: the second grid reuses the first's
+    assert orderings == 1 and again.groups()[6] == "0"
+    assert again.groups()[:6] == first.groups()[:6]
     assert evals > distinct
     half = int(np.ceil(np.sqrt(2 * approx.DROP_THRESH) / approx.GRID_STEP)) + 1
     assert dropped == 2 * half + 1 - kept and dropped > 0
@@ -305,13 +312,13 @@ def test_grid_debug_line_reports_the_fallback(monkeypatch, caplog):
         _stub_fits(monkeypatch, lambda t: -np.sum((t - 1.0) ** 2))
         grid = build_theta_grid(StubModel(5))
     zero, five = _grid_lines(caplog)
-    assert zero.groups() == ("0", "0", "0", "0", "0", "0", "1", "0", "no")
+    assert zero.groups() == ("0", "0", "0", "0", "0", "0", "0", "1", "0", "no")
     assert len(grid) == 1
-    d, evals, distinct, warm, newton, lu, kept, dropped = \
-        map(int, five.groups()[:8])
-    assert (d, kept, dropped, five.group(9)) == (5, 1, 0, "yes")
+    d, evals, distinct, warm, newton, lu, orderings, kept, dropped = \
+        map(int, five.groups()[:9])
+    assert (d, kept, dropped, five.group(10)) == (5, 1, 0, "yes")
     assert newton == distinct and evals >= distinct > 0
-    assert (warm, lu) == (0, 2 * distinct)
+    assert (warm, lu, orderings) == (0, 2 * distinct, distinct)
 
 
 # -- the Newton Hessian on a fixed pattern ------------------------------------
@@ -338,12 +345,25 @@ def _weighted_design_model(seed=4, n=30, p=8):
     return LgmModel([Iid("u", p, log_prec=0.3)], A, Poisson(offset=1.0), y)
 
 
+def _ar1_estimated_rho_model(seed=6, n=12):
+    """AR(1) with estimated rho, which is 0 exactly at theta_init: there
+    P drops the off-diagonal entries of its pattern."""
+    rng = np.random.default_rng(seed)
+    y = rng.poisson(3.0, size=n).astype(float)
+    return LgmModel([Ar1("u", n, log_prec="lp", rho="r")],
+                    sp.identity(n, format="csr"), Poisson(offset=1.0), y,
+                    [HyperSpec("lp"), HyperSpec("r")])
+
+
 HESSIAN_MODELS = {
     "multilevel-binomial": lambda: simulate.scenario_model(
         "multilevel-binomial", simulate.scenario_data("multilevel-binomial", 0)),
     "ar1": lambda: ar1_scenario(),
+    "ar1-estimated-rho": _ar1_estimated_rho_model,
     "besag-constrained": lambda: besag_lattice(),
+    "besag-lattice-12": lambda: besag_lattice(side=12),
     "weighted-design": _weighted_design_model,
+    "weighted-design-20": lambda: _weighted_design_model(n=60, p=20),
 }
 
 
@@ -354,12 +374,13 @@ def test_hessian_equals_the_scipy_expression(name, zeros):
     rng = np.random.default_rng(7)
     n = model.n_obs
     P = model.prior_precision(model.theta_init())
-    assembler = approx._Hessian(approx._design_terms(model), P)
+    plan = approx._fit_plan(model)
+    p_data = plan.scatter(P)
     for _ in range(3):
         c = rng.gamma(1.0, size=n) * 10 ** rng.uniform(-3, 3, size=n)
         if zeros:
             c[rng.choice(n, size=n // 3, replace=False)] = 0.0
-        Q = assembler(c)
+        Q = plan.hessian(c, p_data)
         ref = _reference_hessian(P, model.design, c)
         assert Q.has_sorted_indices
         assert np.array_equal(Q.indptr, ref.indptr)
@@ -382,7 +403,8 @@ def test_hessian_drops_zeros_like_scipy():
                        (np.r_[P.row, 0, 1, j], np.r_[P.col, 1, 0, 5])),
                       shape=(p, p))
     assert P.nnz - np.count_nonzero(P.data) == 4      # (0,1), (1,0), (2,2), (3,3)
-    Q = approx._Hessian(approx._design_terms(model), P)(c)
+    plan = approx._FitPlan(A, P)
+    Q = plan.hessian(c, plan.scatter(P))
     ref = _reference_hessian(P, A, c)
     assert np.count_nonzero(Q.data) == Q.nnz
     assert j not in Q.indices[Q.indptr[5]:Q.indptr[6]]  # cancelled
@@ -390,6 +412,79 @@ def test_hessian_drops_zeros_like_scipy():
     assert np.array_equal(Q.indptr, ref.indptr)
     assert np.array_equal(Q.indices, ref.indices)
     assert np.array_equal(Q.data, ref.data)
+
+
+# -- one column ordering per model --------------------------------------------
+
+def _assert_same_solves(solve, ref_solve, p, rng):
+    """Bitwise equal solves, in the same memory layout, for 1-D and 2-D
+    right-hand sides of either order."""
+    for rhs in (rng.normal(size=p), rng.normal(size=(p, 3)),
+                np.asfortranarray(rng.normal(size=(p, 3))), rng.normal(size=(p, 1))):
+        x, ref = solve(rhs), ref_solve(rhs)
+        assert x.shape == ref.shape and x.tobytes() == ref.tobytes()
+        assert (x.flags.c_contiguous, x.flags.f_contiguous) == \
+            (ref.flags.c_contiguous, ref.flags.f_contiguous)
+
+
+@pytest.mark.parametrize("name", sorted(HESSIAN_MODELS))
+def test_reused_ordering_factorizes_like_a_fresh_splu(name):
+    """The model's first LU orders the columns; every later one reuses that
+    ordering, and solves and pivots as a fresh ``splu`` of the same Q."""
+    model = HESSIAN_MODELS[name]()
+    plan = approx._fit_plan(model)
+    rng = np.random.default_rng(11)
+    n, p = model.n_obs, model.latent_size
+    ordered = []
+    for _ in range(12):
+        theta = rng.normal(0.5, 1.0, size=model.theta_dim)
+        c = rng.gamma(1.0, size=n) * 10 ** rng.uniform(-3, 3, size=n)
+        Q = plan.hessian(c, plan.scatter(model.prior_precision(theta)))
+        solve, pivots, was_ordered = plan.factorize(Q)
+        ordered.append(was_ordered)
+        lu = spla.splu(Q)
+        assert pivots.tobytes() == lu.U.diagonal().tobytes()
+        _assert_same_solves(solve, lu.solve, p, rng)
+    assert ordered == [True] + [False] * 11
+
+
+@pytest.mark.parametrize("name", sorted(HESSIAN_MODELS))
+def test_fits_reusing_the_ordering_equal_fresh_ones(name, monkeypatch):
+    """Fits over 10 thetas on one model order the columns once, and equal
+    fits that order every LU afresh, as each fit did before it had a plan."""
+    rng = np.random.default_rng(12)
+    model = HESSIAN_MODELS[name]()
+    thetas = [rng.normal(0.5, 1.0, size=model.theta_dim) for _ in range(10)]
+    reused = [find_mode(model, t) for t in thetas]
+    monkeypatch.setattr(approx._FitPlan, "_keep", lambda plan, perm_c: None)
+    fresh_model = HESSIAN_MODELS[name]()
+    fresh = [find_mode(fresh_model, t) for t in thetas]
+    assert [ga.n_orderings for ga in reused] == [1] + [0] * 9
+    assert all(ga.n_orderings == ga.n_lu for ga in fresh)
+    for a, b in zip(reused, fresh):
+        assert (a.n_iter, a.n_lu) == (b.n_iter, b.n_lu)
+        assert repr(a.log_det_q) == repr(b.log_det_q)
+        assert a.mu.tobytes() == b.mu.tobytes()
+        _assert_same_solves(a.solve, b.solve, model.latent_size, rng)
+
+
+def test_a_q_that_loses_entries_is_ordered_afresh():
+    """Exact zeros leave Q with fewer entries than the plan's pattern; its LU
+    runs COLAMD on that pattern, as ``splu`` does, and keeps the ordering."""
+    model = _weighted_design_model(n=60, p=20)
+    plan = approx._fit_plan(model)
+    p_data = plan.scatter(model.prior_precision(model.theta_init()))
+    c = np.ones(model.n_obs)
+    assert plan.factorize(plan.hessian(c, p_data))[2]
+    ordering = plan.ordering
+    c[model.design[:, 3].nonzero()[0]] = 0.0     # no curvature reaches latent 3
+    Q = plan.hessian(c, p_data)
+    assert Q.nnz < plan.codes.size
+    solve, pivots, ordered = plan.factorize(Q)
+    lu = spla.splu(Q)
+    assert ordered and plan.ordering is ordering
+    assert pivots.tobytes() == lu.U.diagonal().tobytes()
+    _assert_same_solves(solve, lu.solve, model.latent_size, np.random.default_rng(13))
 
 
 # -- the grid's fits ----------------------------------------------------------

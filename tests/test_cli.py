@@ -246,6 +246,36 @@ def test_cv_non_finite_data_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_cv_nan_index_exits_2(tmp_path, capsys):
+    spec, data = class_files(tmp_path)
+    rows = Path(data).read_text().splitlines()
+    rows[3] = rows[3].split(",", 1)[0] + ",nan"       # column class
+    Path(data).write_text("\n".join(rows) + "\n")
+    assert main(["cv", "--model", spec, "--data", data,
+                 "--out", str(tmp_path / "cv")]) == 2
+    err = capsys.readouterr().err
+    assert "error: component class: index column must hold integers" in err
+    assert "Traceback" not in err
+
+
+def test_theta_grid_step_with_state_exits_2(tmp_path, capsys):
+    spec, data = class_files(tmp_path)
+    fitdir = tmp_path / "fit"
+    assert main(["fit", "--model", spec, "--data", data,
+                 "--out", str(fitdir)]) == 0
+    model_io = ["--model", spec, "--data", data,
+                "--state", str(fitdir / "fitted_state.bin")]
+    out, groups = str(tmp_path / "out"), str(tmp_path / "g.txt")
+    for argv in (["groups", *model_io, "--groups-out", groups],
+                 ["cv", *model_io, "--out", out]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--theta-grid-step", "0.5"])
+        assert exc.value.code == 2
+        assert "--theta-grid-step cannot be combined with --state" in \
+            capsys.readouterr().err
+    assert not os.path.exists(out) and not os.path.exists(groups)
+
+
 def test_simulate_refits_on_the_engine_grid_step(tmp_path, monkeypatch):
     from lgocv import cli, oracle
     steps = []

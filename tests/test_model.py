@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from lgocv.components import FixedEffects, Iid, Rw1
+from lgocv.components import (Ar1, Besag, FixedEffects, Iid, Rw1, Rw2,
+                              _resolve_log_prec, _resolve_rho)
 from lgocv.likelihoods import (Binomial, Exponential, Gaussian, LikelihoodError,
                                Poisson)
 from lgocv.model import HyperSpec, LgmModel, ModelError
@@ -35,6 +36,58 @@ def test_pattern_independent_of_theta():
     p2 = model.prior_precision(model.hyper_point([3.0]))
     assert np.array_equal(p1.indices, p2.indices)
     assert np.array_equal(p1.indptr, p2.indptr)
+
+
+def _scipy_block(c, hyper):
+    """A component's precision block as scipy builds it from its formula."""
+    if c.kind == "fixed":
+        return sp.identity(c.size, format="csc") * c.prec
+    tau = _resolve_log_prec(c.log_prec, hyper)
+    if c.kind == "iid":
+        return sp.identity(c.size, format="csc") * tau
+    if c.kind != "ar1":
+        return c._structure * tau
+    rho, s = _resolve_rho(c.rho, hyper), c.size
+    if s == 1:
+        return sp.csc_matrix(np.array([[tau]]))
+    main = np.full(s, 1.0 + rho * rho)
+    main[0] = main[-1] = 1.0
+    off = np.full(s - 1, -rho)
+    return sp.diags([off, main, off], [-1, 0, 1], format="csc") * (tau / (1.0 - rho * rho))
+
+
+def every_kind_model():
+    """One block of every component kind, AR(1) with rho both estimated
+    and fixed at 0, and a Besag graph of two connected blocks."""
+    comps = [FixedEffects("b", 2, prec=0.5), Iid("u", 3, log_prec="a"),
+             Ar1("r", 5, log_prec="b", rho="r"), Ar1("z", 4, log_prec=0.5, rho=0.0),
+             Ar1("one", 1, log_prec="b"), Rw1("w", 4, log_prec="c"),
+             Rw1("cyc", 5, log_prec="c", cyclic=True), Rw2("t", 6, log_prec="d"),
+             Besag("s", [{1}, {0, 2}, {1}, {4}, {3}], log_prec="d")]
+    p = sum(c.size for c in comps)
+    return LgmModel(comps, sp.identity(p, format="csr"), Gaussian(), np.zeros(p),
+                    [HyperSpec(h) for h in "abrcd"])
+
+
+@pytest.mark.parametrize("theta", [
+    [0.0, 0.0, 0.0, 0.0, 0.0],                # rho = 0 exactly
+    [0.3, -1.2, 0.8, 2.0, -0.4],
+    [-800.0, -800.0, 0.5, -800.0, -800.0],    # tau underflows to 0
+    [-800.0, -800.0, 0.0, -800.0, -800.0],
+], ids=["rho_zero", "generic", "tau_zero", "both"])
+def test_prior_precision_is_the_block_diag_byte_for_byte(theta):
+    model = every_kind_model()
+    hyper = model.hyper_dict(theta)
+    P = model.prior_precision(theta)
+    for blocks in ([_scipy_block(c, hyper) for c in model.components],
+                   [c.precision(hyper) for c in model.components]):
+        ref = sp.block_diag(blocks, format="csc")
+        for a, b in ((P.indptr, ref.indptr), (P.indices, ref.indices),
+                     (P.data, ref.data)):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    off = model.offsets["r"]
+    rho_zero = theta[2] == 0.0
+    assert P.indptr[off + 5] - P.indptr[off] == (5 if rho_zero else 13)
 
 
 def test_loglik_derivatives_dispatch():
