@@ -5,11 +5,12 @@ enforced at every step by conditioning by kriging (solve unconstrained, then
 project).  The factorized posterior precision and the kriging workspace are
 kept on the returned state and reused by all downstream covariance work.
 
-What theta does not change is computed once per model, in its fit plan:
-the prior pattern, the pattern of the Newton matrix Q = P + A' diag(c) A,
-and the column ordering of Q's LU (Rue & Held 2005, sec. 2.4: a GMRF's
-fill-reducing ordering depends on its graph only).  A fit computes values
-only: P's and Q's entries, and LUs of Q that reuse the ordering.
+A model's graph is fixed: P keeps the model's prior pattern and Q = P +
+A' diag(c) A the pattern of its fit plan, exact zeros stored as values.  So
+what theta does not change is computed once per model, in its fit plan: Q's
+pattern and the column ordering of Q's LU (Rue & Held 2005, sec. 2.4: a
+GMRF's fill-reducing ordering depends on its graph only).  A fit computes
+values only: P's and Q's entries, and LUs of Q that reuse the ordering.
 """
 
 from __future__ import annotations
@@ -67,20 +68,20 @@ def _unique(codes):
     own (hash-based in numpy 2) is many times slower on these arrays.
     """
     order = np.argsort(codes, kind="stable")
-    ordered = codes[order]
-    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    ranked = codes[order]
+    first = np.concatenate(([True], ranked[1:] != ranked[:-1]))
     inverse = np.empty(codes.size, dtype=np.intp)
     inverse[order] = np.cumsum(first) - 1
-    return ordered[first], inverse
+    return ranked[first], inverse
 
 
 class _DesignTerms:
     """Every product a_ij c_i a_ik of A' diag(c) A, for one CSR design A.
 
-    Row i contributes one term per ordered pair (j, k) of its stored
-    entries, and the terms run in ascending i: the order in which scipy's
-    sparse product sums them.  ``codes`` are the distinct output positions
-    k p + j (column-major) and ``inverse`` maps each term to its position.
+    Row i contributes one term per pair (j, k) of its stored entries, (k, j)
+    a pair of its own, and the terms run in ascending i: the order in which
+    scipy's sparse product sums them.  ``codes`` are the distinct output
+    positions k p + j (column-major); ``inverse`` maps each term to one.
     """
 
     def __init__(self, A):
@@ -100,20 +101,18 @@ class _DesignTerms:
 class _FitPlan:
     """What every Newton fit of one model shares.
 
-    ``hessian`` gives Q(c) = P + A' diag(c) A on the union of the prior
-    pattern ``prior`` and the design terms', each entry as scipy's
-    ``(P + A.T @ sp.diags(c) @ A)``: the products (a_ij c_i) a_ik summed in
-    ascending i, then P added, exact zeros dropped, indices sorted.  The
-    first LU of a Q with the whole pattern runs COLAMD; later ones factorize
-    Q Pc, Pc that column ordering, with no ordering step, and solve and
-    pivot bitwise as a fresh ``splu`` of Q.  A Q that lost entries to
-    ``eliminate_zeros`` is ordered afresh.
+    ``hessian`` gives Q(c) = P + A' diag(c) A on one pattern, the union of
+    the model's ``prior_pattern`` and the design terms', with indices sorted
+    and exact zeros stored.  Each entry is scipy's ``(P + A.T @ sp.diags(c)
+    @ A)``: the products (a_ij c_i) a_ik summed in ascending i, then P
+    added.  The model's first LU runs COLAMD; later ones factorize Q Pc, Pc
+    that column ordering, with no ordering step, and solve and pivot bitwise
+    as a fresh ``splu`` of Q.
     """
 
-    def __init__(self, design, prior):
-        self.prior = prior
-        t = self.terms = _DesignTerms(design)
-        prior = prior.tocoo()
+    def __init__(self, model):
+        t = self.terms = _DesignTerms(model.design)
+        prior = model.prior_pattern.tocoo()
         self.codes, at = _unique(np.concatenate(
             [t.codes, prior.col.astype(np.int64) * t.p + prior.row]))
         self.pos = at[:t.codes.size][t.inverse]
@@ -123,37 +122,27 @@ class _FitPlan:
         self.ordering = None
 
     def scatter(self, P):
-        """P (``prior`` or a part of it) summed onto the pattern as scipy does."""
-        pos = self.p_pos
-        if P.nnz != pos.size:
-            P = P.tocoo()
-            pos = np.searchsorted(self.codes, P.col.astype(np.int64) * self.terms.p + P.row)
-        return np.bincount(pos, weights=P.data, minlength=self.codes.size)
+        """P, on the model's ``prior_pattern``, placed on Q's pattern."""
+        return np.bincount(self.p_pos, weights=P.data, minlength=self.codes.size)
 
     def hessian(self, c, p_data):
         """Q at curvatures c for the prior whose ``scatter`` is p_data."""
         t = self.terms
         data = np.bincount(self.pos, weights=(t.a_j * c[t.rows]) * t.a_k,
                            minlength=p_data.size) + p_data
-        Q = sp.csc_matrix((data, self.indices, self.indptr), shape=(t.p, t.p))
-        if not data.all():
-            Q = Q.copy()               # eliminate_zeros edits the pattern in place
-            Q.eliminate_zeros()
-        return Q
+        return sp.csc_matrix((data, self.indices, self.indptr), shape=(t.p, t.p))
 
     def factorize(self, Q):
-        """(solve, pivots, ordered) for Q, ``ordered`` if COLAMD ran."""
-        whole = Q.nnz == self.codes.size
-        if not whole or self.ordering is None:
+        """(solve, pivots) for Q; the model's first LU computes the ordering."""
+        if self.ordering is None:
             lu, pivots = _splu(Q)
-            if whole:                  # a copy: perm_c is a view that pins the LU
-                self._keep(lu.perm_c.copy())
-            return lu.solve, pivots, True
+            self._keep(lu.perm_c.copy())   # a copy: perm_c is a view that pins the LU
+            return lu.solve, pivots
         perm_c, take, indices, indptr = self.ordering
         lu, pivots = _splu(sp.csc_matrix((Q.data[take], indices, indptr),
                                          shape=Q.shape), permc_spec="NATURAL")
         # x = Pc y in one copy, kept in the Fortran order SuperLU returns
-        return (lambda rhs: np.take(lu.solve(rhs).T, perm_c, axis=-1).T), pivots, False
+        return (lambda rhs: np.take(lu.solve(rhs).T, perm_c, axis=-1).T), pivots
 
     def _keep(self, perm_c):
         """The take map of Q Pc = Q[:, argsort(perm_c)] on the pattern."""
@@ -164,15 +153,13 @@ class _FitPlan:
         self.ordering = (perm_c, take, self.indices[take], indptr)
 
 
-# One plan per (immutable) model, dropped with the model.
-_FIT_PLANS = weakref.WeakKeyDictionary()
+_FIT_PLANS = weakref.WeakKeyDictionary()     # one per (immutable) model
 
 
 def _fit_plan(model):
     plan = _FIT_PLANS.get(model)
     if plan is None:
-        plan = _FIT_PLANS[model] = _FitPlan(model.design, sp.block_diag(
-            [c._pattern for c in model.components], format="csc"))
+        plan = _FIT_PLANS[model] = _FitPlan(model)
     return plan
 
 
@@ -183,7 +170,6 @@ class _Linearization(NamedTuple):
     b: np.ndarray               # g'(eta) - g''(eta) eta
     solve: object               # x -> Q^{-1} x, Q = P + A' diag(c) A
     pivots: np.ndarray          # diagonal of U
-    ordered: bool               # whether the LU computed its column ordering
     mu_unc: np.ndarray          # Q^{-1} A' b
     mu: np.ndarray              # mu_unc kriged onto the constraints
     constraint_w: object        # Q^{-1} C', or None without constraints
@@ -196,13 +182,12 @@ class GaussianApprox:
 
     Holds the constrained mode ``mu``, the factorized posterior precision
     Q_f = P_f + A' C A, the linearization (b, c) at the mode, and the
-    precomputed constraint solves shared by every group.  ``n_iter``,
-    ``n_lu`` and ``n_orderings`` count the Newton iterations, sparse LU
-    factorizations and column orderings computed in the fit.  Immutable
-    once published; concurrent read-only use is safe.
+    precomputed constraint solves shared by every group.  ``n_iter`` and
+    ``n_lu`` count the Newton iterations and sparse LU factorizations of the
+    fit.  Immutable once published; concurrent read-only use is safe.
     """
 
-    def __init__(self, model, theta, lin, g, P, n_iter, n_lu, n_orderings):
+    def __init__(self, model, theta, lin, g, P, n_iter, n_lu):
         self.model = model
         self.theta = theta
         self.mu = lin.mu                # constrained latent mean
@@ -213,7 +198,6 @@ class GaussianApprox:
         self.P = P
         self.n_iter = n_iter
         self.n_lu = n_lu
-        self.n_orderings = n_orderings
         self._solve = lin.solve
         self.eta_star = model.design @ lin.mu
         self.log_det_q = float(np.sum(np.log(np.abs(lin.pivots))))
@@ -253,17 +237,16 @@ def _linearize(plan, p_data, At, C_e, eta, g1, g2):
     """
     c = np.maximum(-g2, 0.0)
     b = g1 - g2 * eta
-    solve, pivots, ordered = plan.factorize(plan.hessian(c, p_data))
+    solve, pivots = plan.factorize(plan.hessian(c, p_data))
     mu_unc = solve(At @ b)
     if C_e is None:
-        return _Linearization(c, b, solve, pivots, ordered, mu_unc, mu_unc,
-                              None, None, None)
+        return _Linearization(c, b, solve, pivots, mu_unc, mu_unc, None, None, None)
     C, e = C_e
     W = solve(C.T)
     gram = C @ W
     cho = cho_factor(gram)
     mu = mu_unc - W @ cho_solve(cho, C @ mu_unc - e)
-    return _Linearization(c, b, solve, pivots, ordered, mu_unc, mu, W, gram, cho)
+    return _Linearization(c, b, solve, pivots, mu_unc, mu, W, gram, cho)
 
 
 def find_mode(model, theta, init=None):
@@ -283,11 +266,9 @@ def find_mode(model, theta, init=None):
     eta = A @ f
     g, g1, g2 = model.loglik_derivatives(theta, eta)
     obj = -0.5 * f @ (P @ f) + g.sum()
-    orderings = 0
 
     for it in range(1, MAX_NEWTON_ITER + 1):
         lin = _linearize(plan, p_data, At, C_e, eta, g1, g2)
-        orderings += lin.ordered
         step = lin.mu - f
         del lin                        # free its LU before the next is made
         alpha = 1.0
@@ -311,8 +292,7 @@ def find_mode(model, theta, init=None):
             lin = _linearize(plan, p_data, At, C_e, eta, g1, g2)
             g_m = model.loglik(theta, A @ lin.mu)
             return GaussianApprox(model, theta, lin, g=g_m, P=P, n_iter=it,
-                                  n_lu=it + 1,
-                                  n_orderings=orderings + lin.ordered)
+                                  n_lu=it + 1)
 
     raise ModeFindingError(f"Newton did not converge in {MAX_NEWTON_ITER} "
                            f"iterations (theta={np.asarray(theta.values)})")
@@ -402,20 +382,18 @@ def build_theta_grid(model, step=GRID_STEP):
     mode of a kept neighbour one step nearer the centre (or of the centre),
     and the grid keeps the fits of the points it keeps.  Each call logs one debug
     line: d, the log-posterior evaluations, the fits (warm-started ones
-    among them), their Newton iterations, LU factorizations and column
-    orderings computed, the points kept and dropped, and whether the
-    empirical-Bayes fallback was taken.
+    among them), their Newton iterations and LU factorizations, the points
+    kept and dropped, and whether the empirical-Bayes fallback was taken.
     """
     d = model.theta_dim
     cache, stats, best = {}, Counter(), {}
 
     def report(kept, dropped, fallback):
         log.debug("grid: d=%d, %d log-posterior evaluations, %d distinct fits "
-                  "(%d warm-started), %d Newton iterations, "
-                  "%d LU factorizations (column orderings computed: %d), "
+                  "(%d warm-started), %d Newton iterations, %d LU factorizations, "
                   "%d points kept, %d dropped, empirical-Bayes fallback %s",
                   d, stats["evaluations"], stats["fits"], stats["warm"],
-                  stats["newton_iters"], stats["lu"], stats["orderings"],
+                  stats["newton_iters"], stats["lu"],
                   kept, dropped, "yes" if fallback else "no")
 
     if d == 0:
@@ -429,7 +407,6 @@ def build_theta_grid(model, step=GRID_STEP):
         stats["warm"] += init is not None
         stats["newton_iters"] += ga.n_iter
         stats["lu"] += ga.n_lu
-        stats["orderings"] += ga.n_orderings
         return ga, log_evidence(model, ga) + model.log_hyper_prior(theta)
 
     def key(theta):

@@ -4,16 +4,16 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import math
 import os
-import pickle
 import sys
 
 import numpy as np
 
 from . import simulate as sim
-from .approx import (GRID_STEP, build_theta_grid, find_mode,
-                     ModeFindingError, FactorizationError)
+from .approx import (GRID_STEP, ThetaGrid, build_theta_grid, ModeFindingError,
+                     FactorizationError)
 from .components import ComponentError
 from .engine import compute_lgocv, fit_grid_approximations, DEFAULT_GH_ORDER
 from .groups import (CorrelationSource, GroupingError, build_groups,
@@ -23,20 +23,27 @@ from .model import ModelError
 from .oracle import lfocv_curve, map_levels_to_steps, refit_predictive_all
 from .specfile import SpecError, load_data, load_model, write_data
 
-STATE_VERSION = 1
-
-USER_ERRORS = (SpecError, ModelError, ComponentError, LikelihoodError,
-               GroupingError, ModeFindingError, FactorizationError,
-               ValueError, OSError, IndexError)
+STATE_VERSION = 2
+STATE_FILE = "fitted_state.json"
 
 
 class CliError(RuntimeError):
     pass
 
 
-def _spec_hash(path):
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+USER_ERRORS = (CliError, SpecError, ModelError, ComponentError, LikelihoodError,
+               GroupingError, ModeFindingError, FactorizationError,
+               ValueError, OSError, IndexError)
+
+
+def _input_hashes(args):
+    """sha256 of the spec, the data and the graph (None without a graph)."""
+    def sha256(path):
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+    graph = getattr(args, "graph", None)
+    return {"spec": sha256(args.model), "data": sha256(args.data),
+            "graph": sha256(graph) if graph else None}
 
 
 def _parse_test_range(text, n_obs):
@@ -74,19 +81,15 @@ def _write_theta_grid_csv(path, grid):
             fh.write(f"{vals},{float(lp)!r},{float(w)!r}\n")
 
 
-def _mode_fit(model, grid):
-    """The fit at the theta mode: the grid's own, or a fresh one for a grid
-    that carries no fits."""
-    for hp, ga in zip(grid.points, grid.fits or ()):
-        if np.array_equal(hp.values, grid.mode.values):
-            return ga
-    return find_mode(model, grid.mode)
+def _mode_fit(grid, gas):
+    """The fit, among the grid's fits ``gas``, of highest log posterior."""
+    return gas[int(np.argmax(grid.log_posteriors))]
 
 
 def cmd_fit(args):
     model = _load(args)
     grid = build_theta_grid(model, args.theta_grid_step)
-    ga = _mode_fit(model, grid)
+    ga = _mode_fit(grid, fit_grid_approximations(model, grid))
 
     os.makedirs(args.out, exist_ok=True)
     _write_theta_grid_csv(os.path.join(args.out, "theta_grid.csv"), grid)
@@ -96,40 +99,47 @@ def cmd_fit(args):
             off = model.offsets[c.name]
             for j in range(c.size):
                 fh.write(f"{c.name},{j},{float(ga.mu[off + j])!r}\n")
+    # json writes each float as its repr, which reads back bit for bit
     state = {
         "version": STATE_VERSION,
-        "spec_hash": _spec_hash(args.model),
-        "theta_mode": grid.mode.values,
-        "theta_points": [hp.values for hp in grid.points],
-        "log_posteriors": grid.log_posteriors,
-        "weights": grid.weights,
+        "sha256": _input_hashes(args),
+        "theta_mode": grid.mode.values.tolist(),
+        "theta_points": [hp.values.tolist() for hp in grid.points],
+        "log_posteriors": grid.log_posteriors.tolist(),
+        "weights": grid.weights.tolist(),
     }
-    with open(os.path.join(args.out, "fitted_state.bin"), "wb") as fh:
-        pickle.dump(state, fh)
+    with open(os.path.join(args.out, STATE_FILE), "w") as fh:
+        json.dump(state, fh)
     free = [h.name for h in model.free_hypers]
     print(f"fit complete: {len(grid)} theta grid point(s), "
           f"estimated hyperparameters: {free or 'none'}")
     return 0
 
 
-def _restore_grid(model, state_path, spec_path):
-    with open(state_path, "rb") as fh:
-        state = pickle.load(fh)
-    if state.get("version") != STATE_VERSION:
-        raise CliError(f"unsupported fitted-state version {state.get('version')}")
-    if state["spec_hash"] != _spec_hash(spec_path):
-        raise CliError("fitted state does not match the model spec "
-                       "(hash mismatch); refusing to load")
-    from .approx import ThetaGrid
-    pts = tuple(model.hyper_point(v) for v in state["theta_points"])
-    return ThetaGrid(pts, np.asarray(state["log_posteriors"]),
-                     np.asarray(state["weights"]),
-                     model.hyper_point(state["theta_mode"]))
+def _restore_grid(model, args):
+    """The theta grid of the JSON state that 'fit' wrote for the same spec,
+    data and graph.  The file is only parsed, never executed."""
+    try:
+        with open(args.state, "rb") as fh:
+            state = json.loads(fh.read())
+        if state["version"] != STATE_VERSION:
+            raise CliError(f"unsupported fitted-state version {state['version']!r}")
+        stale = [k for k, h in _input_hashes(args).items() if state["sha256"][k] != h]
+        if stale:
+            raise CliError(f"fitted state does not match the {', '.join(stale)} "
+                           "(sha256 mismatch); refusing to load")
+        pts = tuple(model.hyper_point(v) for v in state["theta_points"])
+        return ThetaGrid(pts, np.array(state["log_posteriors"], dtype=float),
+                         np.array(state["weights"], dtype=float),
+                         model.hyper_point(state["theta_mode"]))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise CliError(f"{args.state} is not a fitted-state file from "
+                       f"'lgocv fit' ({exc}); refusing to load") from exc
 
 
 def _grid_for(args, model):
     if getattr(args, "state", None):
-        return _restore_grid(model, args.state, args.model)
+        return _restore_grid(model, args)
     return build_theta_grid(model, args.theta_grid_step)
 
 
@@ -141,7 +151,7 @@ def _source(args):
 def cmd_groups(args):
     model = _load(args)
     grid = _grid_for(args, model)
-    ga = _mode_fit(model, grid)
+    ga = _mode_fit(grid, fit_grid_approximations(model, grid))
     indices = (_parse_test_range(args.test_range, model.n_obs)
                if args.test_range else None)
     spec = build_groups(_source(args), ga, args.m, tie_tol=args.tie_tol,
@@ -167,8 +177,7 @@ def cmd_cv(args):
             raise CliError(f"group file lacks groups for test indices "
                            f"{[i + 1 for i in missing[:5]]}...")
     elif args.m is not None:
-        ga_mode = gas[int(np.argmax(grid.log_posteriors))]
-        spec = build_groups(_source(args), ga_mode, args.m,
+        spec = build_groups(_source(args), _mode_fit(grid, gas), args.m,
                             tie_tol=args.tie_tol, indices=test_indices)
     else:
         spec = singleton_groups(test_indices)
@@ -201,8 +210,8 @@ def _simulate_multilevel(args, outdir):
 
     grid = build_theta_grid(model, args.theta_grid_step)
     gas = fit_grid_approximations(model, grid)
-    ga_mode = gas[int(np.argmax(grid.log_posteriors))]
-    spec = build_groups(CorrelationSource("posterior"), ga_mode, m=args.m)
+    spec = build_groups(CorrelationSource("posterior"), _mode_fit(grid, gas),
+                        m=args.m)
     result = compute_lgocv(model, grid, spec, gas=gas, gh_order=args.gh_order)
 
     oracle = refit_predictive_all(model, spec, result.indices,
@@ -230,7 +239,7 @@ def _simulate_ar1(args, outdir):
     test = list(range(model.n_obs - 500, model.n_obs))
     grid = build_theta_grid(model, args.theta_grid_step)
     gas = fit_grid_approximations(model, grid)
-    ga = gas[0]
+    ga = _mode_fit(grid, gas)
 
     ks = list(range(1, 11))
     lfocv_u = lfocv_curve(model, ks, test, gh_order=args.gh_order)
@@ -314,7 +323,7 @@ def build_parser():
     gr.add_argument("--m", type=int, default=3)
     gr.add_argument("--groups-out", required=True)
     gr.add_argument("--test-range")
-    gr.add_argument("--state", help="fitted_state.bin from 'fit'")
+    gr.add_argument("--state", help=f"{STATE_FILE} from 'fit'")
     add_grid_step(gr)
     gr.set_defaults(func=cmd_groups)
 
@@ -326,7 +335,7 @@ def build_parser():
     cv.add_argument("--groups-out")
     cv.add_argument("--gh-order", type=int, default=DEFAULT_GH_ORDER)
     cv.add_argument("--test-range")
-    cv.add_argument("--state")
+    cv.add_argument("--state", help=f"{STATE_FILE} from 'fit'")
     add_grid_step(cv)
     cv.add_argument("--out", default=".")
     cv.set_defaults(func=cmd_cv)
@@ -360,9 +369,6 @@ def main(argv=None):
         args.theta_grid_step = GRID_STEP
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,7 @@ fixed values on the natural scale (precision, lag-one correlation).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -43,13 +43,10 @@ def _resolve_rho(value, hyper):
 
 
 def on_pattern(pattern, u, scale):
-    """``pattern`` holding u * scale, without the entries whose u is 0: a
-    dia -> csc conversion drops those before the scale is applied."""
-    keep = u != 0
-    indices, indptr = pattern.indices, pattern.indptr
-    if not keep.all():
-        indices, indptr = indices[keep], np.r_[0, np.cumsum(keep)][indptr]
-    return sp.csc_matrix(((u * scale)[keep], indices, indptr), shape=pattern.shape)
+    """``pattern`` holding u * scale, exact zeros included: the graph, and so
+    the pattern, does not change with the values."""
+    return sp.csc_matrix((u * scale, pattern.indices, pattern.indptr),
+                         shape=pattern.shape)
 
 
 class _Block:

@@ -56,12 +56,9 @@ class CorrelationSource:
 
 @dataclass(frozen=True)
 class GroupSpec:
-    """Index sets I_i keyed by observation, with construction provenance."""
+    """Index sets I_i keyed by observation."""
 
     groups: dict
-    m: int
-    source: CorrelationSource | None
-    tie_tol: float
 
     def __getitem__(self, i):
         return self.groups[i]
@@ -236,13 +233,12 @@ def build_groups(source, ga, m, tie_tol=1e-8, indices=None):
     log.debug("build_groups: m=%d, %d rows in %d RHS blocks, group size "
               "mean %.3f max %d", m, idx.size, len(starts),
               np.mean(sizes) if sizes else 0.0, max(sizes, default=0))
-    return GroupSpec(groups, m, source, tie_tol)
+    return GroupSpec(groups)
 
 
 def singleton_groups(indices):
     """Groups {i} for every index: LGOCV degenerates to LOOCV."""
-    return GroupSpec({int(i): np.array([int(i)]) for i in indices},
-                     m=1, source=None, tie_tol=0.0)
+    return GroupSpec({int(i): np.array([int(i)]) for i in indices})
 
 
 def write_groups(path, spec):
@@ -275,4 +271,4 @@ def read_groups(path, n_obs):
             groups[i] = members
     if not groups:
         raise GroupingError(f"{path}: no groups found")
-    return GroupSpec(groups, m=0, source=None, tie_tol=0.0)
+    return GroupSpec(groups)

@@ -7,12 +7,12 @@ an internal unconstrained scale (log precisions, atanh correlations).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from .approx import _fit_plan
 from .components import on_pattern
 from .likelihoods import LikelihoodError
 
@@ -50,10 +50,6 @@ class HyperPoint:
             raise ModelError("hyperparameter values must be finite")
         object.__setattr__(self, "values", v)
 
-    @property
-    def dim(self):
-        return self.values.size
-
 
 class LgmModel:
     """Immutable model description.
@@ -87,6 +83,10 @@ class LgmModel:
         if A.shape[1] != self.latent_size:
             raise ModelError(
                 f"design has {A.shape[1]} columns, latent size is {self.latent_size}")
+        if A.shape[0] == 0:
+            raise ModelError("a model needs at least one observation")
+        if not np.all(np.isfinite(A.data)):
+            raise ModelError("design entries must be finite")
         row_nnz = np.diff(A.indptr)
         if np.any(row_nnz == 0):
             raise ModelError("every observation needs a nonzero design row")
@@ -178,11 +178,16 @@ class LgmModel:
         return self.latent_size - sum(
             c.null_dim for c in self.components if c.intrinsic)
 
+    @cached_property
+    def prior_pattern(self):
+        """P_f's pattern for every theta: its components' block-diagonally."""
+        return sp.block_diag([c._pattern for c in self.components], format="csc")
+
     def prior_precision(self, theta):
-        """Block-diagonal joint prior precision P_f(theta), on a fixed pattern."""
+        """Block-diagonal joint prior precision P_f(theta), on ``prior_pattern``."""
         hyper = self.hyper_dict(getattr(theta, "values", theta))
         u, scale = zip(*(c.precision_values(hyper) for c in self.components))
-        P = on_pattern(_fit_plan(self).prior, np.concatenate(u),
+        P = on_pattern(self.prior_pattern, np.concatenate(u),
                        np.repeat(scale, [v.size for v in u]))
         if not np.all(np.isfinite(P.data)):
             raise ModelError("non-finite prior precision entries")

@@ -57,8 +57,13 @@ def _eta_moments_on(ga_sub, row):
     return float((row @ ga_sub.mu)[0]), float((row @ x)[0])
 
 
-def _refit_group(model, I, thetas, step):
-    """Refit on y_-I: (theta points, weights, fitted approximations)."""
+def _refit_group(model, i, I, thetas, step):
+    """Refit on y_-I, I the group of observation i: (theta points, weights,
+    fitted approximations)."""
+    if np.unique(I).size == model.n_obs:
+        raise ValueError(f"refit oracle: the group of observation {i + 1} holds "
+                         f"all {model.n_obs} observations; no data is left to "
+                         "refit on")
     sub = model.drop_observations(np.asarray(I, dtype=int))
     if thetas is not None:
         pts = [sub.hyper_point(t) for t in np.atleast_2d(thetas)]
@@ -85,7 +90,7 @@ def refit_predictive(model, i, I, thetas=None, step=GRID_STEP,
     theta); otherwise the theta grid is rebuilt on the reduced data, with
     grid spacing ``step``.
     """
-    pts, weights, gas_sub = _refit_group(model, I, thetas, step)
+    pts, weights, gas_sub = _refit_group(model, i, I, thetas, step)
     return _mix_predictive(model, i, pts, weights, gas_sub, gh_order)
 
 
@@ -104,7 +109,7 @@ def refit_predictive_all(model, groups, indices=None, thetas=None,
     for i in indices:
         key = tuple(int(j) for j in groups[int(i)])
         if key not in cache:
-            cache[key] = _refit_group(model, key, thetas, step)
+            cache[key] = _refit_group(model, i, key, thetas, step)
         pts, weights, gas_sub = cache[key]
         out[int(i)] = _mix_predictive(model, i, pts, weights, gas_sub, gh_order)
     return out

@@ -218,7 +218,7 @@ def _stub_fits(monkeypatch, log_post):
     """Replace the mode fit by one Newton iteration that keeps theta."""
     monkeypatch.setattr(approx, "find_mode", lambda model, theta, **kw:
                         SimpleNamespace(theta=np.atleast_1d(theta), n_iter=1,
-                                        n_lu=2, n_orderings=1, mu=np.zeros(1)))
+                                        n_lu=2, mu=np.zeros(1)))
     monkeypatch.setattr(approx, "log_evidence",
                         lambda model, ga: float(log_post(ga.theta)))
 
@@ -260,8 +260,7 @@ def test_grid_mixing_matches_fine_quadrature(monkeypatch):
 
 GRID_LINE = re.compile(r"grid: d=(\d+), (\d+) log-posterior evaluations, "
                        r"(\d+) distinct fits \((\d+) warm-started\), "
-                       r"(\d+) Newton iterations, (\d+) LU factorizations "
-                       r"\(column orderings computed: (\d+)\), "
+                       r"(\d+) Newton iterations, (\d+) LU factorizations, "
                        r"(\d+) points kept, (\d+) dropped, "
                        r"empirical-Bayes fallback (yes|no)$")
 
@@ -279,8 +278,7 @@ def test_grid_debug_line_reports_the_search(monkeypatch, caplog):
 
     def counted(*args, **kwargs):
         ga = find(*args, **kwargs)
-        fits.append((ga.n_iter, ga.n_lu, ga.n_orderings,
-                     kwargs.get("init") is not None))
+        fits.append((ga.n_iter, ga.n_lu, kwargs.get("init") is not None))
         return ga
 
     monkeypatch.setattr(approx, "find_mode", counted)
@@ -288,15 +286,13 @@ def test_grid_debug_line_reports_the_search(monkeypatch, caplog):
         grid = build_theta_grid(model)
         build_theta_grid(model)
     first, again = _grid_lines(caplog)
-    d, evals, distinct, warm, newton, lu, orderings, kept, dropped = \
-        map(int, first.groups()[:9])
-    assert first.group(10) == "no"
-    iters, lus, ordered, warms = (sum(col) for col in zip(*fits[:len(fits) // 2]))
+    d, evals, distinct, warm, newton, lu, kept, dropped = \
+        map(int, first.groups()[:8])
+    assert first.group(9) == "no"
+    iters, lus, warms = (sum(col) for col in zip(*fits[:len(fits) // 2]))
     assert (d, distinct, newton, kept) == (1, len(fits) // 2, iters, len(grid))
-    assert (warm, lu, orderings) == (warms, lus, ordered) and warm > 0
-    # one column ordering per model: the second grid reuses the first's
-    assert orderings == 1 and again.groups()[6] == "0"
-    assert again.groups()[:6] == first.groups()[:6]
+    assert (warm, lu) == (warms, lus) and warm > 0
+    assert again.groups() == first.groups()
     assert evals > distinct
     half = int(np.ceil(np.sqrt(2 * approx.DROP_THRESH) / approx.GRID_STEP)) + 1
     assert dropped == 2 * half + 1 - kept and dropped > 0
@@ -312,13 +308,13 @@ def test_grid_debug_line_reports_the_fallback(monkeypatch, caplog):
         _stub_fits(monkeypatch, lambda t: -np.sum((t - 1.0) ** 2))
         grid = build_theta_grid(StubModel(5))
     zero, five = _grid_lines(caplog)
-    assert zero.groups() == ("0", "0", "0", "0", "0", "0", "0", "1", "0", "no")
+    assert zero.groups() == ("0", "0", "0", "0", "0", "0", "1", "0", "no")
     assert len(grid) == 1
-    d, evals, distinct, warm, newton, lu, orderings, kept, dropped = \
-        map(int, five.groups()[:9])
-    assert (d, kept, dropped, five.group(10)) == (5, 1, 0, "yes")
+    d, evals, distinct, warm, newton, lu, kept, dropped = \
+        map(int, five.groups()[:8])
+    assert (d, kept, dropped, five.group(9)) == (5, 1, 0, "yes")
     assert newton == distinct and evals >= distinct > 0
-    assert (warm, lu, orderings) == (0, 2 * distinct, distinct)
+    assert (warm, lu) == (0, 2 * distinct)
 
 
 # -- the Newton Hessian on a fixed pattern ------------------------------------
@@ -347,7 +343,7 @@ def _weighted_design_model(seed=4, n=30, p=8):
 
 def _ar1_estimated_rho_model(seed=6, n=12):
     """AR(1) with estimated rho, which is 0 exactly at theta_init: there
-    P drops the off-diagonal entries of its pattern."""
+    P stores zeros off its diagonal."""
     rng = np.random.default_rng(seed)
     y = rng.poisson(3.0, size=n).astype(float)
     return LgmModel([Ar1("u", n, log_prec="lp", rho="r")],
@@ -381,37 +377,55 @@ def test_hessian_equals_the_scipy_expression(name, zeros):
         if zeros:
             c[rng.choice(n, size=n // 3, replace=False)] = 0.0
         Q = plan.hessian(c, p_data)
-        ref = _reference_hessian(P, model.design, c)
-        assert Q.has_sorted_indices
-        assert np.array_equal(Q.indptr, ref.indptr)
-        assert np.array_equal(Q.indices, ref.indices)
-        assert np.array_equal(Q.data, ref.data)
+        _assert_scipy_values_on_the_plan_pattern(Q, plan, P, model.design, c)
 
 
-def test_hessian_drops_zeros_like_scipy():
-    """Explicit zeros in P, a latent no curvature reaches and an entry that
-    cancels to zero leave the pattern as scipy's sum leaves it."""
-    model = _weighted_design_model()
+def _assert_scipy_values_on_the_plan_pattern(Q, plan, P, A, c):
+    """Q has the plan's fixed pattern, and without its stored zeros it is
+    scipy's expression bit for bit."""
+    assert Q.has_sorted_indices
+    assert np.array_equal(Q.indptr, plan.indptr)
+    assert np.array_equal(Q.indices, plan.indices)
+    ref = _reference_hessian(P, A, c)
+    Q = Q.copy()
+    Q.eliminate_zeros()
+    assert np.array_equal(Q.indptr, ref.indptr)
+    assert np.array_equal(Q.indices, ref.indices)
+    assert np.array_equal(Q.data, ref.data)
+
+
+def _ar1_weighted_design_model():
+    """An AR(1) with estimated rho (0 at theta_init) on a weighted design."""
+    base = _weighted_design_model()
+    return LgmModel([Ar1("u", base.latent_size, log_prec="lp", rho="r")],
+                    base.design, base.likelihood, base.y,
+                    [HyperSpec("lp"), HyperSpec("r")])
+
+
+def test_hessian_stores_zeros_on_the_fixed_pattern():
+    """Zeros in P (rho = 0 and two zeroed diagonal entries), a latent no
+    curvature reaches and an entry that cancels to zero stay in Q's
+    pattern as stored zeros; the other entries are scipy's."""
+    model = _ar1_weighted_design_model()
     A, p = model.design, model.latent_size
     c = np.ones(model.n_obs)
     c[A[:, 3].nonzero()[0]] = 0.0      # no curvature reaches latent 3
     Y = _reference_hessian(sp.csc_matrix((p, p)), A, c)       # A' diag(c) A
-    j = next(i for i in Y.indices[Y.indptr[5]:Y.indptr[6]] if i != 5)
+    j = next(i for i in Y.indices[Y.indptr[5]:Y.indptr[6]] if i in (4, 6))
     P = model.prior_precision(model.theta_init()).tocoo()
     vals = np.where(np.isin(P.row, [2, 3]) & (P.row == P.col), 0.0, P.data)
-    P = sp.csc_matrix((np.r_[vals, 0.0, 0.0, -Y[j, 5]],
-                       (np.r_[P.row, 0, 1, j], np.r_[P.col, 1, 0, 5])),
-                      shape=(p, p))
-    assert P.nnz - np.count_nonzero(P.data) == 4      # (0,1), (1,0), (2,2), (3,3)
-    plan = approx._FitPlan(A, P)
+    vals[(P.row == j) & (P.col == 5)] = -Y[j, 5]
+    P = sp.csc_matrix((vals, (P.row, P.col)), shape=(p, p))
+    # zero: every off-diagonal entry but (j, 5), and (2, 2), (3, 3)
+    assert P.nnz - np.count_nonzero(P.data) == 2 * (p - 1) - 1 + 2
+    plan = approx._fit_plan(model)
     Q = plan.hessian(c, plan.scatter(P))
-    ref = _reference_hessian(P, A, c)
-    assert np.count_nonzero(Q.data) == Q.nnz
-    assert j not in Q.indices[Q.indptr[5]:Q.indptr[6]]  # cancelled
-    assert Q.indptr[4] == Q.indptr[3]                   # latent 3: nothing left
-    assert np.array_equal(Q.indptr, ref.indptr)
-    assert np.array_equal(Q.indices, ref.indices)
-    assert np.array_equal(Q.data, ref.data)
+    _assert_scipy_values_on_the_plan_pattern(Q, plan, P, A, c)
+    assert Q.nnz == plan.codes.size
+    col = slice(Q.indptr[5], Q.indptr[6])
+    assert Q.data[col][Q.indices[col] == j] == 0.0              # cancelled
+    assert Q.indptr[4] > Q.indptr[3]                            # latent 3 is
+    assert not Q.data[Q.indptr[3]:Q.indptr[4]].any()            # all zeros
 
 
 # -- one column ordering per model --------------------------------------------
@@ -440,8 +454,8 @@ def test_reused_ordering_factorizes_like_a_fresh_splu(name):
         theta = rng.normal(0.5, 1.0, size=model.theta_dim)
         c = rng.gamma(1.0, size=n) * 10 ** rng.uniform(-3, 3, size=n)
         Q = plan.hessian(c, plan.scatter(model.prior_precision(theta)))
-        solve, pivots, was_ordered = plan.factorize(Q)
-        ordered.append(was_ordered)
+        ordered.append(plan.ordering is None)
+        solve, pivots = plan.factorize(Q)
         lu = spla.splu(Q)
         assert pivots.tobytes() == lu.U.diagonal().tobytes()
         _assert_same_solves(solve, lu.solve, p, rng)
@@ -455,12 +469,24 @@ def test_fits_reusing_the_ordering_equal_fresh_ones(name, monkeypatch):
     rng = np.random.default_rng(12)
     model = HESSIAN_MODELS[name]()
     thetas = [rng.normal(0.5, 1.0, size=model.theta_dim) for _ in range(10)]
+    specs = []
+    splu = approx._splu
+
+    def recorded(Q, permc_spec=None):
+        specs.append(permc_spec)
+        return splu(Q, permc_spec)
+
+    monkeypatch.setattr(approx, "_splu", recorded)
     reused = [find_mode(model, t) for t in thetas]
-    monkeypatch.setattr(approx._FitPlan, "_keep", lambda plan, perm_c: None)
+    assert specs == [None] + ["NATURAL"] * (sum(ga.n_lu for ga in reused) - 1)
+
+    def colamd_every_lu(plan, Q):
+        lu, pivots = splu(Q)
+        return lu.solve, pivots
+
+    monkeypatch.setattr(approx._FitPlan, "factorize", colamd_every_lu)
     fresh_model = HESSIAN_MODELS[name]()
     fresh = [find_mode(fresh_model, t) for t in thetas]
-    assert [ga.n_orderings for ga in reused] == [1] + [0] * 9
-    assert all(ga.n_orderings == ga.n_lu for ga in fresh)
     for a, b in zip(reused, fresh):
         assert (a.n_iter, a.n_lu) == (b.n_iter, b.n_lu)
         assert repr(a.log_det_q) == repr(b.log_det_q)
@@ -468,21 +494,21 @@ def test_fits_reusing_the_ordering_equal_fresh_ones(name, monkeypatch):
         _assert_same_solves(a.solve, b.solve, model.latent_size, rng)
 
 
-def test_a_q_that_loses_entries_is_ordered_afresh():
-    """Exact zeros leave Q with fewer entries than the plan's pattern; its LU
-    runs COLAMD on that pattern, as ``splu`` does, and keeps the ordering."""
+def test_lu_of_a_zero_bearing_q_equals_a_fresh_splu():
+    """Exact zeros stay stored in Q, so its LU reuses the model's ordering
+    and solves and pivots as a fresh ``splu`` of the zero-bearing Q."""
     model = _weighted_design_model(n=60, p=20)
     plan = approx._fit_plan(model)
     p_data = plan.scatter(model.prior_precision(model.theta_init()))
     c = np.ones(model.n_obs)
-    assert plan.factorize(plan.hessian(c, p_data))[2]
+    plan.factorize(plan.hessian(c, p_data))
     ordering = plan.ordering
     c[model.design[:, 3].nonzero()[0]] = 0.0     # no curvature reaches latent 3
     Q = plan.hessian(c, p_data)
-    assert Q.nnz < plan.codes.size
-    solve, pivots, ordered = plan.factorize(Q)
+    assert Q.nnz == plan.codes.size > np.count_nonzero(Q.data)
+    solve, pivots = plan.factorize(Q)
     lu = spla.splu(Q)
-    assert ordered and plan.ordering is ordering
+    assert plan.ordering is ordering
     assert pivots.tobytes() == lu.U.diagonal().tobytes()
     _assert_same_solves(solve, lu.solve, model.latent_size, np.random.default_rng(13))
 

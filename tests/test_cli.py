@@ -1,4 +1,5 @@
 import os
+import pickle
 import shutil
 import subprocess
 import sys
@@ -85,7 +86,7 @@ def test_fit_writes_artifacts_and_is_deterministic(tmp_path):
     for out in (out1, out2):
         assert main(["fit", "--model", spec, "--data", data,
                      "--out", str(out)]) == 0
-        for name in ("theta_grid.csv", "latent_summary.csv", "fitted_state.bin"):
+        for name in ("theta_grid.csv", "latent_summary.csv", "fitted_state.json"):
             assert (out / name).exists()
     assert (out1 / "theta_grid.csv").read_bytes() == \
         (out2 / "theta_grid.csv").read_bytes()
@@ -162,7 +163,7 @@ def test_state_reuse_and_hash_guard(tmp_path):
     fitdir = tmp_path / "fit"
     assert main(["fit", "--model", spec, "--data", data,
                  "--out", str(fitdir)]) == 0
-    state = str(fitdir / "fitted_state.bin")
+    state = str(fitdir / "fitted_state.json")
     gpath = tmp_path / "g.txt"
     assert main(["groups", "--model", spec, "--data", data, "--m", "1",
                  "--state", state, "--groups-out", str(gpath)]) == 0
@@ -174,16 +175,89 @@ def test_state_reuse_and_hash_guard(tmp_path):
                  "--groups-out", str(tmp_path / "g2.txt")]) == 2
 
 
-def test_fit_and_groups_take_the_mode_fit_from_the_grid(tmp_path, monkeypatch):
+def test_state_fitted_on_other_data_exits_2(tmp_path, capsys):
+    spec, data = class_files(tmp_path)
+    fitdir = tmp_path / "fit"
+    assert main(["fit", "--model", spec, "--data", data,
+                 "--out", str(fitdir)]) == 0
+    other = tmp_path / "other"
+    other.mkdir()
+    _, other_data = class_files(other, seed=5)
+    for argv in (["groups", "--groups-out", str(tmp_path / "g.txt")],
+                 ["cv", "--out", str(tmp_path / "cv")]):
+        assert main(argv + ["--model", spec, "--data", other_data,
+                            "--state", str(fitdir / "fitted_state.json")]) == 2
+        assert "fitted state does not match the data (sha256 mismatch)" in \
+            capsys.readouterr().err
+    assert not (tmp_path / "g.txt").exists() and not (tmp_path / "cv").exists()
+
+
+class _WritesMarker:
+    """Unpickling this object creates the file at ``path``."""
+
+    def __init__(self, path):
+        self.path = path
+
+    def __reduce__(self):
+        return (open, (self.path, "w"))
+
+
+def test_state_file_is_never_unpickled(tmp_path, capsys):
+    spec, data = class_files(tmp_path)
+    marker = tmp_path / "marker"
+    state = tmp_path / "fitted_state.json"
+    state.write_bytes(pickle.dumps(_WritesMarker(str(marker))))
+    for argv in (["groups", "--groups-out", str(tmp_path / "g.txt")],
+                 ["cv", "--out", str(tmp_path / "cv")]):
+        assert main(argv + ["--model", spec, "--data", data,
+                            "--state", str(state)]) == 2
+        assert "is not a fitted-state file from 'lgocv fit'" in \
+            capsys.readouterr().err
+    assert not marker.exists()
+
+
+def test_state_restores_the_fitted_grid_bit_for_bit(tmp_path, monkeypatch):
     from lgocv import cli
+    grids = []
+    build, score = cli.build_theta_grid, cli.compute_lgocv
+
+    def built(*args):
+        grids.append(build(*args))
+        return grids[-1]
+
+    def scored(model, grid, *args, **kwargs):
+        grids.append(grid)
+        return score(model, grid, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_theta_grid", built)
+    monkeypatch.setattr(cli, "compute_lgocv", scored)
+    spec, data = class_files(tmp_path)
+    fitdir = tmp_path / "fit"
+    assert main(["fit", "--model", spec, "--data", data,
+                 "--out", str(fitdir)]) == 0
+    assert main(["cv", "--model", spec, "--data", data, "--m", "2",
+                 "--state", str(fitdir / "fitted_state.json"),
+                 "--out", str(tmp_path / "cv")]) == 0
+    fitted, restored = grids
+    assert restored.fits is None and len(restored) == len(fitted) > 1
+    for a, b in ((fitted.mode.values, restored.mode.values),
+                 (np.array([hp.values for hp in fitted.points]),
+                  np.array([hp.values for hp in restored.points])),
+                 (fitted.log_posteriors, restored.log_posteriors),
+                 (fitted.weights, restored.weights)):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_fit_and_groups_take_the_mode_fit_from_the_grid(tmp_path, monkeypatch):
+    from lgocv import engine
     calls = []
-    find = cli.find_mode
+    find = engine.find_mode
 
     def counted(*args, **kwargs):
         calls.append(args)
         return find(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "find_mode", counted)
+    monkeypatch.setattr(engine, "find_mode", counted)
     spec, data = class_files(tmp_path)
     fitdir = tmp_path / "fit"
     assert main(["fit", "--model", spec, "--data", data,
@@ -192,11 +266,12 @@ def test_fit_and_groups_take_the_mode_fit_from_the_grid(tmp_path, monkeypatch):
     assert main(["groups", "--model", spec, "--data", data, "--m", "2",
                  "--groups-out", str(own)]) == 0
     assert calls == []
-    # a grid restored from --state carries no fits: one cold fit at the mode
+    # a grid restored from --state carries no fits: one cold fit per point
     assert main(["groups", "--model", spec, "--data", data, "--m", "2",
-                 "--state", str(fitdir / "fitted_state.bin"),
+                 "--state", str(fitdir / "fitted_state.json"),
                  "--groups-out", str(restored)]) == 0
-    assert len(calls) == 1
+    n_points = len((fitdir / "theta_grid.csv").read_text().splitlines()) - 1
+    assert len(calls) == n_points > 1
     assert own.read_bytes() == restored.read_bytes()
 
 
@@ -246,6 +321,33 @@ def test_cv_non_finite_data_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+BINOMIAL_SPEC = """\
+[likelihood]
+family = binomial
+response = y
+trials = 10
+
+[component beta]
+kind = fixed
+covariates = 1 x
+"""
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_cv_non_finite_covariate_exits_2(tmp_path, capsys, bad):
+    spec = tmp_path / "binomial.spec"
+    spec.write_text(BINOMIAL_SPEC)
+    x = np.linspace(-1.0, 1.0, 12)
+    x[4] = float(bad)
+    data = tmp_path / "binomial.csv"
+    write_data(str(data), {"y": np.arange(12.0) % 11, "x": x})
+    assert main(["cv", "--model", str(spec), "--data", str(data),
+                 "--out", str(tmp_path / "cv")]) == 2
+    err = capsys.readouterr().err
+    assert "error: design entries must be finite" in err
+    assert "Traceback" not in err
+
+
 def test_cv_nan_index_exits_2(tmp_path, capsys):
     spec, data = class_files(tmp_path)
     rows = Path(data).read_text().splitlines()
@@ -264,7 +366,7 @@ def test_theta_grid_step_with_state_exits_2(tmp_path, capsys):
     assert main(["fit", "--model", spec, "--data", data,
                  "--out", str(fitdir)]) == 0
     model_io = ["--model", spec, "--data", data,
-                "--state", str(fitdir / "fitted_state.bin")]
+                "--state", str(fitdir / "fitted_state.json")]
     out, groups = str(tmp_path / "out"), str(tmp_path / "g.txt")
     for argv in (["groups", *model_io, "--groups-out", groups],
                  ["cv", *model_io, "--out", out]):
@@ -293,6 +395,17 @@ def test_simulate_refits_on_the_engine_grid_step(tmp_path, monkeypatch):
     assert rows[0] == "index,engine_density,oracle_density,rel_error"
     assert len(rows) == 101
     assert len(steps) > 1 and set(steps) == {0.5}
+
+
+def test_simulate_refuses_a_group_that_holds_all_data(tmp_path, capsys):
+    """At m = 2 every multilevel-gaussian group spans all 100 observations,
+    which leaves the refit oracle nothing to refit on."""
+    assert main(["simulate", "--scenario", "multilevel-gaussian", "--m", "2",
+                 "--seed", "0", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert ("error: refit oracle: the group of observation 1 holds all 100 "
+            "observations; no data is left to refit on") in err
+    assert "Traceback" not in err
 
 
 def test_groups_prior_subset_flag(tmp_path):

@@ -28,14 +28,29 @@ def test_block_diagonal_assembly_matches_dense_oracle():
     assert np.array_equal(P, expected)
 
 
+# rho = 0 exactly, generic values, tau underflowing to 0, and both
+PRIOR_THETAS = {"rho_zero": [0.0, 0.0, 0.0, 0.0, 0.0],
+                "generic": [0.3, -1.2, 0.8, 2.0, -0.4],
+                "tau_zero": [-800.0, -800.0, 0.5, -800.0, -800.0],
+                "both": [-800.0, -800.0, 0.0, -800.0, -800.0]}
+
+
+def _assert_same_bytes(*pairs):
+    for a, b in pairs:
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def test_pattern_independent_of_theta():
-    model = LgmModel([Iid("u", 3, log_prec="lp")], sp.identity(3, format="csr"),
-                     Gaussian(), np.zeros(3),
-                     hypers=[HyperSpec("lp")])
-    p1 = model.prior_precision(model.hyper_point([0.0]))
-    p2 = model.prior_precision(model.hyper_point([3.0]))
-    assert np.array_equal(p1.indices, p2.indices)
-    assert np.array_equal(p1.indptr, p2.indptr)
+    """P keeps the components' patterns at every theta, exact zeros stored."""
+    model = every_kind_model()
+    ref = sp.block_diag([c._pattern for c in model.components], format="csc")
+    _assert_same_bytes((model.prior_pattern.indptr, ref.indptr),
+                       (model.prior_pattern.indices, ref.indices))
+    for theta in PRIOR_THETAS.values():
+        P = model.prior_precision(theta)
+        _assert_same_bytes((P.indptr, ref.indptr), (P.indices, ref.indices))
+    P = model.prior_precision(PRIOR_THETAS["both"])
+    assert np.count_nonzero(P.data) < P.nnz
 
 
 def _scipy_block(c, hyper):
@@ -69,25 +84,26 @@ def every_kind_model():
                     [HyperSpec(h) for h in "abrcd"])
 
 
-@pytest.mark.parametrize("theta", [
-    [0.0, 0.0, 0.0, 0.0, 0.0],                # rho = 0 exactly
-    [0.3, -1.2, 0.8, 2.0, -0.4],
-    [-800.0, -800.0, 0.5, -800.0, -800.0],    # tau underflows to 0
-    [-800.0, -800.0, 0.0, -800.0, -800.0],
-], ids=["rho_zero", "generic", "tau_zero", "both"])
+@pytest.mark.parametrize("theta", PRIOR_THETAS.values(), ids=PRIOR_THETAS.keys())
 def test_prior_precision_is_the_block_diag_byte_for_byte(theta):
+    """P holds the model's fixed pattern; without its stored zeros, it is
+    scipy's block_diag of the formulas and of the components' blocks."""
     model = every_kind_model()
     hyper = model.hyper_dict(theta)
     P = model.prior_precision(theta)
-    for blocks in ([_scipy_block(c, hyper) for c in model.components],
-                   [c.precision(hyper) for c in model.components]):
+    _assert_same_bytes((P.indptr, model.prior_pattern.indptr),
+                       (P.indices, model.prior_pattern.indices))
+    blocks = [c.precision(hyper) for c in model.components]
+    _assert_same_bytes((P.data, sp.block_diag(blocks, format="csc").data))
+    nonzero = P.copy()
+    nonzero.eliminate_zeros()
+    for blocks in ([_scipy_block(c, hyper) for c in model.components], blocks):
         ref = sp.block_diag(blocks, format="csc")
-        for a, b in ((P.indptr, ref.indptr), (P.indices, ref.indices),
-                     (P.data, ref.data)):
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    off = model.offsets["r"]
-    rho_zero = theta[2] == 0.0
-    assert P.indptr[off + 5] - P.indptr[off] == (5 if rho_zero else 13)
+        ref.eliminate_zeros()
+        _assert_same_bytes((nonzero.indptr, ref.indptr),
+                           (nonzero.indices, ref.indices), (nonzero.data, ref.data))
+    off = model.offsets["r"]           # AR(1) with estimated rho, size 5
+    assert P.indptr[off + 5] - P.indptr[off] == 13
 
 
 def test_loglik_derivatives_dispatch():
@@ -102,6 +118,21 @@ def test_every_row_needs_nonzero():
     A = sp.csr_matrix(np.array([[1.0], [0.0]]))
     with pytest.raises(ModelError):
         LgmModel([Iid("u", 1, log_prec=1.0)], A, Gaussian(), np.zeros(2))
+
+
+def test_a_model_without_observations_is_rejected():
+    model = iid_identity_model(3)
+    with pytest.raises(ModelError, match="at least one observation"):
+        model.keep_observations([])
+    with pytest.raises(ModelError, match="at least one observation"):
+        model.drop_observations([0, 1, 2])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_design_entries_rejected(bad):
+    A = sp.csr_matrix(np.array([[1.0, 0.5], [1.0, bad]]))
+    with pytest.raises(ModelError, match="design entries must be finite"):
+        LgmModel([FixedEffects("b", 2)], A, Gaussian(), np.zeros(2))
 
 
 def test_missing_hyperspec_rejected():
