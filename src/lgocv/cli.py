@@ -12,8 +12,8 @@ import sys
 import numpy as np
 
 from . import simulate as sim
-from .approx import (GRID_STEP, ThetaGrid, build_theta_grid, ModeFindingError,
-                     FactorizationError)
+from .approx import (GRID_STEP, ThetaGrid, build_theta_grid, find_mode,
+                     ModeFindingError, FactorizationError)
 from .components import ComponentError
 from .engine import compute_lgocv, fit_grid_approximations, DEFAULT_GH_ORDER
 from .groups import (CorrelationSource, GroupingError, build_groups,
@@ -81,15 +81,24 @@ def _write_theta_grid_csv(path, grid):
             fh.write(f"{vals},{float(lp)!r},{float(w)!r}\n")
 
 
-def _mode_fit(grid, gas):
-    """The fit, among the grid's fits ``gas``, of highest log posterior."""
-    return gas[int(np.argmax(grid.log_posteriors))]
+def _mode_fit(model, grid, gas=None):
+    """The fit at the theta mode ``grid.mode``, the grid's centre point.
+
+    It is taken from the fits in hand (``gas``, else the grid's own); only a
+    grid that carries no fits, such as one restored from saved state, pays
+    one fresh fit at the mode."""
+    if gas is None and grid.fits is not None and grid.fits[0].model is model:
+        gas = grid.fits
+    for hp, ga in zip(grid.points, gas or ()):
+        if np.array_equal(hp.values, grid.mode.values):
+            return ga
+    return find_mode(model, grid.mode)
 
 
 def cmd_fit(args):
     model = _load(args)
     grid = build_theta_grid(model, args.theta_grid_step)
-    ga = _mode_fit(grid, fit_grid_approximations(model, grid))
+    ga = _mode_fit(model, grid)
 
     os.makedirs(args.out, exist_ok=True)
     _write_theta_grid_csv(os.path.join(args.out, "theta_grid.csv"), grid)
@@ -151,7 +160,7 @@ def _source(args):
 def cmd_groups(args):
     model = _load(args)
     grid = _grid_for(args, model)
-    ga = _mode_fit(grid, fit_grid_approximations(model, grid))
+    ga = _mode_fit(model, grid)
     indices = (_parse_test_range(args.test_range, model.n_obs)
                if args.test_range else None)
     spec = build_groups(_source(args), ga, args.m, tie_tol=args.tie_tol,
@@ -177,8 +186,8 @@ def cmd_cv(args):
             raise CliError(f"group file lacks groups for test indices "
                            f"{[i + 1 for i in missing[:5]]}...")
     elif args.m is not None:
-        spec = build_groups(_source(args), _mode_fit(grid, gas), args.m,
-                            tie_tol=args.tie_tol, indices=test_indices)
+        spec = build_groups(_source(args), _mode_fit(model, grid, gas),
+                            args.m, tie_tol=args.tie_tol, indices=test_indices)
     else:
         spec = singleton_groups(test_indices)
 
@@ -210,8 +219,8 @@ def _simulate_multilevel(args, outdir):
 
     grid = build_theta_grid(model, args.theta_grid_step)
     gas = fit_grid_approximations(model, grid)
-    spec = build_groups(CorrelationSource("posterior"), _mode_fit(grid, gas),
-                        m=args.m)
+    spec = build_groups(CorrelationSource("posterior"),
+                        _mode_fit(model, grid, gas), m=args.m)
     result = compute_lgocv(model, grid, spec, gas=gas, gh_order=args.gh_order)
 
     oracle = refit_predictive_all(model, spec, result.indices,
@@ -239,7 +248,7 @@ def _simulate_ar1(args, outdir):
     test = list(range(model.n_obs - 500, model.n_obs))
     grid = build_theta_grid(model, args.theta_grid_step)
     gas = fit_grid_approximations(model, grid)
-    ga = _mode_fit(grid, gas)
+    ga = _mode_fit(model, grid, gas)
 
     ks = list(range(1, 11))
     lfocv_u = lfocv_curve(model, ks, test, gh_order=args.gh_order)

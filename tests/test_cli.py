@@ -249,15 +249,15 @@ def test_state_restores_the_fitted_grid_bit_for_bit(tmp_path, monkeypatch):
 
 
 def test_fit_and_groups_take_the_mode_fit_from_the_grid(tmp_path, monkeypatch):
-    from lgocv import engine
+    from lgocv import cli
     calls = []
-    find = engine.find_mode
+    find = cli.find_mode
 
     def counted(*args, **kwargs):
         calls.append(args)
         return find(*args, **kwargs)
 
-    monkeypatch.setattr(engine, "find_mode", counted)
+    monkeypatch.setattr(cli, "find_mode", counted)
     spec, data = class_files(tmp_path)
     fitdir = tmp_path / "fit"
     assert main(["fit", "--model", spec, "--data", data,
@@ -266,12 +266,11 @@ def test_fit_and_groups_take_the_mode_fit_from_the_grid(tmp_path, monkeypatch):
     assert main(["groups", "--model", spec, "--data", data, "--m", "2",
                  "--groups-out", str(own)]) == 0
     assert calls == []
-    # a grid restored from --state carries no fits: one cold fit per point
+    # a grid restored from --state carries no fits: one cold fit at the mode
     assert main(["groups", "--model", spec, "--data", data, "--m", "2",
                  "--state", str(fitdir / "fitted_state.json"),
                  "--groups-out", str(restored)]) == 0
-    n_points = len((fitdir / "theta_grid.csv").read_text().splitlines()) - 1
-    assert len(calls) == n_points > 1
+    assert len(calls) == 1
     assert own.read_bytes() == restored.read_bytes()
 
 
