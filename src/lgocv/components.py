@@ -251,7 +251,7 @@ def read_graph(path):
 
 def _connected_blocks(adj):
     n = len(adj)
-    seen = np.zeros(n, dtype=bool)
+    seen = [False] * n
     blocks = []
     for start in range(n):
         if seen[start]:

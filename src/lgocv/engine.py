@@ -272,19 +272,20 @@ def _distinct_groups(groups, test):
     Returns the member arrays, the group of each test observation and the
     observation's position within its group.
     """
-    keys, members = {}, []
-    group_of = np.empty(len(test), dtype=int)
-    at = np.empty(len(test), dtype=int)
-    for n, i in enumerate(test):
+    keys, members, group_of, at = {}, [], [], []
+    for i in np.asarray(test, dtype=int).tolist():
         I = np.asarray(groups[i], dtype=int)
-        g = keys.setdefault(tuple(I.tolist()), len(members))
+        key = tuple(I.tolist())
+        g = keys.setdefault(key, len(members))
         if g == len(members):
-            if np.unique(I).size != I.size:
+            if len(set(key)) != len(key):
                 raise IndexError("index set contains duplicates")
             members.append(I)
-        group_of[n] = g
-        at[n] = int(np.flatnonzero(I == i)[0])
-    return members, group_of, at
+        if i not in key:
+            raise IndexError(f"the group of observation {i} does not contain it")
+        group_of.append(g)
+        at.append(key.index(i))
+    return members, np.array(group_of, dtype=int), np.array(at, dtype=int)
 
 
 def _union_chunks(members, limit):

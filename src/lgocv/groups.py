@@ -8,7 +8,8 @@ the unselected effects).  One sparse engine serves both; an intrinsic P is
 bordered with a basis of its null space, which gives P^+ without forming
 it.  No dense covariance or full correlation matrix is formed; rows come in
 blocks of at most ``RHS_BATCH`` observations, one multi-RHS solve per block,
-and only the top-m level sets of each row are located.
+and only the top-m level sets of each row are located.  An engine keeps
+its last block, so a sweep over m on the same rows solves them once.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ log = logging.getLogger(__name__)
 
 _TINY = 1e-300
 _ROUNDOFF = 1e-12   # relative size below which a variance is zero
+_HEAD = 64          # sorted values the level-set walk steps through one by one
 
 
 class GroupingError(ValueError):
@@ -70,14 +72,6 @@ class GroupSpec:
         return all(len(v) == 1 for v in self.groups.values())
 
 
-def _abs_corr(cov, sd, idx):
-    """|corr| rows from the (n, len(idx)) covariance columns of eta_idx."""
-    idx = np.asarray(idx, dtype=int)
-    r = np.abs(cov.T) / np.outer(sd[idx], sd)
-    r[np.arange(idx.size), idx] = 1.0
-    return np.minimum(r, 1.0)
-
-
 def _quad(AJ, X):
     """diag(AJ X) for a sparse row block AJ and dense columns X."""
     return np.asarray(AJ.multiply(X.T).sum(axis=1)).ravel()
@@ -90,6 +84,7 @@ class _SparseCorrEngine:
         self.A = sp.csr_matrix(A)
         self._solve = solve
         self._constrain = constrain
+        self._last = None           # (indices, rows) of the last block
         n = self.A.shape[0]
         var, free = np.empty(n), np.empty(n)
         for start in range(0, n, RHS_BATCH):
@@ -104,9 +99,20 @@ class _SparseCorrEngine:
         self.sd = np.sqrt(var)
 
     def rows(self, idx):
-        """(len(idx), n) block of |corr| rows from one multi-RHS solve."""
+        """(len(idx), n) read-only |corr| rows; the last block is kept for a repeat."""
+        idx = np.array(idx, dtype=int)
+        last = self._last
+        if last is not None and np.array_equal(idx, last[0]):
+            return last[1]
+        # allocated first, the kept block sits below the temporaries in the heap
+        block = np.empty((idx.size, self.A.shape[0]))
         X = self._constrain(self._solve(self.A[idx].T.toarray()))
-        return _abs_corr(self.A @ X, self.sd, idx)
+        np.divide(np.abs((self.A @ X).T), np.outer(self.sd[idx], self.sd), out=block)
+        block[np.arange(idx.size), idx] = 1.0
+        np.minimum(block, 1.0, out=block)
+        block.flags.writeable = False
+        self._last = (idx, block)
+        return block
 
 
 def _selected_components(model, subset):
@@ -135,10 +141,18 @@ def _restrict_constraints(model, cols):
     return np.array(rows).reshape(-1, cols.size)
 
 
+def _kriging(C, W, cho):
+    """x -> x - W (C W)^-1 C x for ``cho`` the factor of C W, or x -> x."""
+    return (lambda x: x) if cho is None else (lambda x: x - W @ cho_solve(cho, C @ x))
+
+
 def _make_engine(source, ga):
     model = ga.model
     if source.kind == "posterior":
-        return _SparseCorrEngine(model.design, ga.solve, ga.constrain)
+        # not the fit's bound methods, which would tie fit and engine in a cycle
+        C = None if model.constraints is None else model.constraints[0]
+        return _SparseCorrEngine(model.design, ga._solve,
+                                 _kriging(C, ga.constraint_w, ga.constraint_cho))
 
     comps = _selected_components(model, source.subset)
     cols = np.concatenate([model.offsets[c.name] + np.arange(c.size) for c in comps])
@@ -163,25 +177,20 @@ def _make_engine(source, ga):
     C = _restrict_constraints(model, cols)
     W = solve(C.T)
     keep = np.einsum("ij,ji->i", C, W) > _ROUNDOFF * max(np.abs(W).max(initial=0.0), 1.0)
-    if not keep.any():
-        return _SparseCorrEngine(A_sel, solve, lambda x: x)
     C, W = C[keep], W[:, keep]
-    cho = cho_factor(C @ W)
-    return _SparseCorrEngine(A_sel, solve, lambda x: x - W @ cho_solve(cho, C @ x))
+    return _SparseCorrEngine(A_sel, solve,
+                             _kriging(C, W, cho_factor(C @ W) if keep.any() else None))
 
 
 def _engine_for(source, ga):
-    cache = getattr(ga, "_corr_engines", None)
-    if cache is None:
-        cache = {}
-        setattr(ga, "_corr_engines", cache)
+    cache = ga.__dict__.setdefault("_corr_engines", {})
     if source not in cache:
         cache[source] = _make_engine(source, ga)
     return cache[source]
 
 
 def correlation_row(source, ga, i):
-    """|corr(eta_i, eta_j)| for all j, with exact 1 at j = i."""
+    """|corr(eta_i, eta_j)| for all j, with exact 1 at j = i (read-only)."""
     if not 0 <= i < ga.model.n_obs:
         raise IndexError(f"observation index {i} out of range")
     return _engine_for(source, ga).rows([i])[0]
@@ -194,18 +203,23 @@ def level_set_partition(r, tie_tol, m=None):
     (ties broken by observation index) and ``ends`` the exclusive end offset
     of each level set within ``order``; with ``m`` only the first m sets.
     A set ends at the first value more than ``tie_tol`` (relative) below
-    its leading value.
+    its leading value.  The first ``_HEAD`` sorted values are walked one at
+    a time; past them one vectorized comparison finds a set's end.
     """
     order = np.argsort(-r, kind="stable")
     vals = r[order]
-    n = vals.size
-    ends = []
-    k = 0
+    head = vals[:_HEAD].tolist()
+    n, h = vals.size, len(head)
+    ends, k = [], 0
     while k < n and (m is None or len(ends) < m):
-        ref = vals[k]
+        ref = head[k] if k < h else vals[k]
+        tol = tie_tol * max(ref, _TINY)
         k += 1
-        tied = ref - vals[k:] <= tie_tol * max(ref, _TINY)
-        k = n if tied.all() else k + int(np.argmin(tied))
+        while k < h and ref - head[k] <= tol:
+            k += 1
+        if h <= k < n:
+            tied = ref - vals[k:] <= tol
+            k = n if tied.all() else k + int(np.argmin(tied))
         ends.append(k)
     return order, ends
 

@@ -45,16 +45,21 @@ def simulate_multilevel(family, seed):
     return {"y": y, "class": cls.astype(float)}
 
 
+def _intercept_design(index, k):
+    """CSR [1 | E]: an intercept, then row i's indicator of ``index[i]`` of k."""
+    n = index.size
+    cols = np.empty(2 * n, dtype=np.int32)
+    cols[0::2], cols[1::2] = 0, index + 1
+    indptr = np.arange(0, 2 * n + 1, 2, dtype=np.int32)
+    return sp.csr_matrix((np.ones(2 * n), cols, indptr), shape=(n, k + 1))
+
+
 def multilevel_model(data, family):
-    n = len(data["y"])
     cls = data["class"].astype(int)
     k = int(cls.max()) + 1
     comps = [FixedEffects("intercept", 1, prec=1e-4),
              Iid("class", k, log_prec="log_prec_class")]
-    A = sp.hstack([
-        sp.csr_matrix(np.ones((n, 1))),
-        sp.csr_matrix((np.ones(n), (np.arange(n), cls)), shape=(n, k)),
-    ], format="csr")
+    A = _intercept_design(cls, k)
     if family == "gaussian":
         lik = Gaussian(precision=1.0 / GAUSSIAN_SD ** 2)
     elif family == "binomial":
@@ -70,12 +75,10 @@ def multilevel_model(data, family):
 def simulate_ar1(seed):
     """u_i = 0.9 u_{i-1} + eps, stationary start; y_i = 2 + u_i + 0.1 N."""
     rng = np.random.default_rng(seed)
-    u = np.empty(AR1_N)
-    u[0] = rng.standard_normal() / np.sqrt(1.0 - AR1_RHO ** 2)
-    eps = rng.standard_normal(AR1_N - 1)
-    for i in range(1, AR1_N):
-        u[i] = AR1_RHO * u[i - 1] + eps[i - 1]
-    eta = AR1_MU + u
+    u = [float(rng.standard_normal() / np.sqrt(1.0 - AR1_RHO ** 2))]
+    for e in rng.standard_normal(AR1_N - 1).tolist():
+        u.append(AR1_RHO * u[-1] + e)
+    eta = AR1_MU + np.array(u)
     y = eta + GAUSSIAN_SD * rng.standard_normal(AR1_N)
     return {"y": y, "tindex": np.arange(AR1_N, dtype=float)}
 
@@ -84,10 +87,7 @@ def ar1_model(data):
     n = len(data["y"])
     comps = [FixedEffects("intercept", 1, prec=1e-4),
              Ar1("trend", n, log_prec=1.0 - AR1_RHO ** 2, rho=AR1_RHO)]
-    A = sp.hstack([
-        sp.csr_matrix(np.ones((n, 1))),
-        sp.identity(n, format="csr"),
-    ], format="csr")
+    A = _intercept_design(np.arange(n), n)
     lik = Gaussian(precision=1.0 / GAUSSIAN_SD ** 2)
     return LgmModel(comps, A, lik, data["y"])
 

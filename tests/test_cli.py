@@ -74,9 +74,10 @@ def iid_files(tmp_path, n=8, seed=1):
 
 def read_kv(path):
     out = {}
-    for line in open(path):
-        k, v = line.split("=", 1)
-        out[k.strip()] = v.strip()
+    with open(path) as fh:
+        for line in fh:
+            k, v = line.split("=", 1)
+            out[k.strip()] = v.strip()
     return out
 
 

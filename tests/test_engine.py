@@ -4,6 +4,8 @@ import logging
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 from scipy.stats import norm
 
@@ -391,6 +393,60 @@ def test_no_test_observations_gives_nan_utility():
     res = compute_lgocv(model, grid, singleton_groups([]), test_indices=[])
     assert res.indices.size == 0 and res.density.size == 0
     assert np.isnan(res.utility) and np.isnan(res.skipped_frac)
+
+
+def reference_distinct_groups(groups, test):
+    """The per-observation numpy loop that ``engine._distinct_groups``
+    replaces."""
+    keys, members = {}, []
+    group_of = np.empty(len(test), dtype=int)
+    at = np.empty(len(test), dtype=int)
+    for n, i in enumerate(test):
+        I = np.asarray(groups[i], dtype=int)
+        g = keys.setdefault(tuple(I.tolist()), len(members))
+        if g == len(members):
+            if np.unique(I).size != I.size:
+                raise IndexError("index set contains duplicates")
+            members.append(I)
+        group_of[n] = g
+        at[n] = int(np.flatnonzero(I == i)[0])
+    return members, group_of, at
+
+
+@st.composite
+def shared_groups(draw):
+    """Test observations 0..n-1, each taking an unsorted member list from a
+    shared pool when one contains it and its singleton otherwise; a member
+    list may repeat an entry."""
+    n = draw(st.integers(1, 12))
+    pool = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=5),
+                         max_size=4))
+    groups = {}
+    for i in range(n):
+        holding = [g for g in pool if i in g]
+        groups[i] = np.array(draw(st.sampled_from(holding)) if holding else [i])
+    return groups, np.arange(n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=shared_groups())
+def test_distinct_groups_match_the_loop_reference(case):
+    groups, test = case
+    try:
+        want = reference_distinct_groups(groups, test)
+    except IndexError:
+        with pytest.raises(IndexError, match="duplicates"):
+            engine._distinct_groups(groups, test)
+        return
+    members, group_of, at = engine._distinct_groups(groups, test)
+    assert len(members) == len(want[0])
+    assert all(np.array_equal(a, b) for a, b in zip(members, want[0]))
+    assert np.array_equal(group_of, want[1]) and np.array_equal(at, want[2])
+
+
+def test_distinct_groups_reject_a_group_without_its_observation():
+    with pytest.raises(IndexError, match="does not contain"):
+        engine._distinct_groups({0: np.array([1, 2])}, np.array([0]))
 
 
 # -- the stacked z-space kernel ----------------------------------------------

@@ -1,12 +1,14 @@
+import gc
 import logging
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import cho_factor, cho_solve
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -20,7 +22,8 @@ from lgocv.groups import (CorrelationSource, GroupingError, build_groups,
 from lgocv.likelihoods import Gaussian, Poisson
 from lgocv.model import LgmModel
 
-from conftest import besag_lattice, iid_identity_model, multilevel_poisson
+from conftest import (ar1_scenario, besag_lattice, iid_identity_model,
+                      multilevel_poisson)
 
 POSTERIOR = CorrelationSource("posterior")
 
@@ -162,7 +165,7 @@ def reference_partition(r, tie_tol):
 
 
 @st.composite
-def near_tie_rows(draw):
+def near_tie_rows(draw, lengths=st.integers(1, 25)):
     """Rows of values from a small set, exact duplicates, and chains of
     values 0.5-2 tie tolerances apart (relative), so that ties straddle
     the boundary from both sides."""
@@ -170,17 +173,14 @@ def near_tie_rows(draw):
     bases = draw(st.lists(st.sampled_from([1.0, 0.9, 0.5, 0.3, 1e-3, 1e-200, 0.0]),
                           min_size=1, max_size=4))
     vals = []
-    for _ in range(draw(st.integers(1, 25))):
+    for _ in range(draw(lengths)):
         v = draw(st.sampled_from(bases + vals))
         frac = draw(st.one_of(st.just(0.0), st.floats(0.5, 2.0)))
         vals.append(v * (1.0 - frac * tie_tol))
     return np.array(vals), tie_tol
 
 
-@settings(max_examples=300, deadline=None)
-@given(row=near_tie_rows(), m=st.integers(1, 6))
-def test_level_sets_equal_reference_walk(row, m):
-    r, tie_tol = row
+def assert_walk_matches_reference(r, tie_tol, m):
     ref_order, ref_ends = reference_partition(r, tie_tol)
     order, ends = level_set_partition(r, tie_tol)
     assert np.array_equal(order, ref_order)
@@ -190,6 +190,32 @@ def test_level_sets_equal_reference_walk(row, m):
     assert ends == ref_ends[:m]
     end = ref_ends[min(m, len(ref_ends)) - 1]
     assert np.array_equal(group_from_row(r, m, tie_tol), np.sort(ref_order[:end]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(row=near_tie_rows(), m=st.integers(1, 6))
+def test_level_sets_equal_reference_walk(row, m):
+    assert_walk_matches_reference(*row, m)
+
+
+def run_across_head(start, length, n=100):
+    """A row whose sorted values 0..start-1 are distinct, then ``length``
+    tied values, then distinct ones: the tie run crosses the walk's head
+    when start < 64 < start + length."""
+    vals = np.linspace(1.0, 0.5, n)
+    vals[start:start + length] = vals[start]
+    return vals[np.random.default_rng(start).permutation(n)], 1e-8
+
+
+@settings(max_examples=150, deadline=None)
+@given(row=near_tie_rows(lengths=st.integers(65, 200)), m=st.integers(1, 80))
+@example(row=run_across_head(60, 10), m=70)
+@example(row=run_across_head(0, 100), m=1)
+@example(row=run_across_head(63, 2), m=80)
+@example(row=run_across_head(64, 30), m=66)
+def test_long_rows_equal_reference_walk(row, m):
+    """Rows longer than the walk's head, with tie runs that cross it."""
+    assert_walk_matches_reference(*row, m)
 
 
 def walk_model(walk, extra_constraints=None):
@@ -230,6 +256,61 @@ def test_blocked_rows_match_single_rows(model, source, monkeypatch, caplog):
             expected = group_from_row(correlation_row(source, ga, i), m, 1e-8)
             assert np.array_equal(spec[i], expected)
     assert "11 rows in 4 RHS blocks" in caplog.text
+
+
+def test_rows_keep_only_the_last_block(monkeypatch):
+    """A repeated block is served without a solve; any other block, or the
+    same array changed in place, is solved afresh."""
+    source = CorrelationSource("prior", ("trend",))
+    model = ar1_model(n=20, rho=0.8)
+    engine = lgocv.groups._engine_for(source, fitted(model))
+    solves = []
+    solve = engine._solve
+    monkeypatch.setattr(engine, "_solve", lambda rhs: solves.append(1) or solve(rhs))
+    idx = np.array([3, 5, 7])
+    first = engine.rows(idx)
+    assert engine.rows([3, 5, 7]) is first and len(solves) == 1
+    with pytest.raises(ValueError):
+        first[0, 0] = 0.5
+    idx[2] = 8
+    moved = engine.rows(idx)
+    assert len(solves) == 2 and moved is not first
+    fresh = lgocv.groups._engine_for(source, fitted(model))
+    assert np.array_equal(moved, fresh.rows([3, 5, 8]))
+    assert np.array_equal(first, fresh.rows([3, 5, 7]))
+    assert np.array_equal(engine.rows([3, 5, 7]), first) and len(solves) == 3
+
+
+@pytest.mark.parametrize("make, source, ms", [
+    (lambda: ar1_scenario(200), CorrelationSource("prior", ("trend",)), range(1, 11)),
+    (lambda: besag_lattice(10), CorrelationSource("prior", ("spatial",)), (1, 2, 3, 5)),
+], ids=["ar1", "besag"])
+def test_m_sweep_on_one_engine_equals_fresh_fits(make, source, ms):
+    shared = fitted(make())
+    test = np.arange(shared.model.n_obs)[-40:]
+    for m in ms:
+        spec = build_groups(source, shared, m=m, indices=test)
+        fresh = build_groups(source, fitted(make()), m=m, indices=test)
+        assert list(spec.groups) == list(fresh.groups)
+        for i in test:
+            assert np.array_equal(spec[i], fresh[i])
+
+
+@pytest.mark.parametrize("model, source", [
+    (multilevel_poisson(seed=4, classes=4, per_class=5), POSTERIOR),
+    (besag_lattice(4), POSTERIOR),
+    (besag_lattice(4), CorrelationSource("prior", ("spatial",))),
+], ids=["posterior", "constrained-posterior", "prior"])
+def test_cached_engine_does_not_keep_its_fit_alive(model, source):
+    ga = fitted(model)
+    gc.disable()
+    try:
+        build_groups(source, ga, m=1)
+        ref = weakref.ref(ga)
+        del ga
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def reference_prior_correlation(source, ga):
