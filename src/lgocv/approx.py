@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 import itertools
 import logging
 from typing import NamedTuple
@@ -107,10 +108,13 @@ class _FitPlan:
     @ A)``: the products (a_ij c_i) a_ik summed in ascending i, then P
     added.  The model's first LU runs COLAMD; later ones factorize Q Pc, Pc
     that column ordering, with no ordering step, and solve and pivot bitwise
-    as a fresh ``splu`` of Q.
+    as a fresh ``splu`` of Q.  ``constraint_rows`` is C as CSR, for
+    ``kriging``.
     """
 
     def __init__(self, model):
+        C = model.constraints
+        self.constraint_rows = None if C is None else sp.csr_matrix(C[0])
         t = self.terms = _DesignTerms(model.design)
         prior = model.prior_pattern.tocoo()
         self.codes, at = _unique(np.concatenate(
@@ -214,10 +218,34 @@ class GaussianApprox:
 
     def constrain(self, x):
         """Propagate linear constraints: x - Q^{-1}C'(CQ^{-1}C')^{-1} C x."""
-        if self.constraint_w is None:
-            return x
-        C, _ = self.model.constraints
-        return x - self.constraint_w @ cho_solve(self.constraint_cho, C @ x)
+        return self._kriging(x)
+
+    @cached_property
+    def _kriging(self):
+        return kriging(_fit_plan(self.model).constraint_rows, self.constraint_w,
+                       self.constraint_cho)
+
+
+def kriging(C, W, cho):
+    """x -> x - W (C W)^-1 C x for ``cho`` the factor of C W, or x -> x.
+
+    C x is a sparse product, and W z is taken off one constraint at a time
+    as an outer product.  Both work on each column alone in a fixed order,
+    so a column's correction does not depend on the columns solved with it;
+    BLAS picks its kernel by the number of columns.  Returns a new C-ordered
+    array.
+    """
+    if cho is None:
+        return lambda x: x
+    C = sp.csr_matrix(C)
+
+    def krige(x):
+        x = np.array(x, order="C")
+        for w, zl in zip(W.T, cho_solve(cho, C @ x)):
+            x -= np.multiply.outer(w, zl)
+        return x
+
+    return krige
 
 
 def _feasible_start(model):

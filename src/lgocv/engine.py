@@ -1,10 +1,10 @@
 """Leave-group-out predictive densities without refitting.
 
 Per theta grid point, from the factorization kept on its GaussianApprox:
-the test observations' groups are deduplicated, and one multi-RHS solve
-per chunk of distinct groups (member union of at most ``RHS_BATCH``
-columns) gives the posterior moments of eta over the union, from which
-each group's moments are a sub-block.  One kernel call per group size
+the test observations' groups are deduplicated, and ``eta_covariance`` of
+each chunk of distinct groups (member union of at most ``RHS_BATCH``
+observations, solved in cache-sized slabs) gives the posterior moments of
+eta over the union, from which each group's moments are a sub-block.  One kernel call per group size
 removes the groups' likelihood contributions from the moments of eta_I (a
 precision downdate in the z-space of sigma_I's nonzero eigenpairs, for
 full-rank and rank-deficient groups alike) and the theta weight is
@@ -372,8 +372,8 @@ def compute_lgocv(model, grid, groups, gas=None, test_indices=None,
 
     Works one theta point at a time.  The test observations' groups are
     deduplicated; per chunk of distinct groups whose member union spans at
-    most ``RHS_BATCH`` columns, one multi-RHS solve gives the moments of
-    eta_U, and each group's moments are its sub-block.  The downdate and
+    most ``RHS_BATCH`` observations, ``eta_covariance`` gives the moments
+    of eta_U, and each group's moments are its sub-block.  The downdate and
     the theta correction then run once per chunk and group size, and one
     batched Gauss-Hermite call scores every test observation.  ``threads``
     runs theta points in parallel.

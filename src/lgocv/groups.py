@@ -6,10 +6,13 @@ hyperparameter mode.  Correlations come either from the posterior precision
 Q_f or from a principal submatrix P of the prior precision (conditioning on
 the unselected effects).  One sparse engine serves both; an intrinsic P is
 bordered with a basis of its null space, which gives P^+ without forming
-it.  No dense covariance or full correlation matrix is formed; rows come in
-blocks of at most ``RHS_BATCH`` observations, one multi-RHS solve per block,
-and only the top-m level sets of each row are located.  An engine keeps
-its last block, so a sweep over m on the same rows solves them once.
+it.  No dense covariance or full correlation matrix is formed: the
+marginal variances and the rows come from solves in slabs of
+``covariance.slab_width`` columns, each reduced as soon as it is solved.
+Rows come in blocks of at most ``RHS_BATCH`` observations, written slab by
+slab into the block, and only the top-m level sets of each row are
+located.  An engine keeps its last block, so a sweep over m on the same
+rows solves them once.
 """
 
 from __future__ import annotations
@@ -19,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
 
-from .approx import _splu
-from .covariance import RHS_BATCH
+from .approx import _splu, kriging
+from .covariance import RHS_BATCH, row_slabs
 
 log = logging.getLogger(__name__)
 
@@ -87,11 +90,10 @@ class _SparseCorrEngine:
         self._last = None           # (indices, rows) of the last block
         n = self.A.shape[0]
         var, free = np.empty(n), np.empty(n)
-        for start in range(0, n, RHS_BATCH):
-            J = slice(start, min(start + RHS_BATCH, n))
-            x = self._solve(self.A[J].T.toarray())
-            free[J] = _quad(self.A[J], x)
-            var[J] = _quad(self.A[J], self._constrain(x))
+        for J, AJ in row_slabs(self.A):
+            x = self._solve(AJ.T.toarray())
+            free[J] = _quad(AJ, x)
+            var[J] = _quad(AJ, self._constrain(x))
         # kriging leaves a fully constrained eta_i a roundoff residue of its
         # unconstrained variance
         if np.any(var <= _ROUNDOFF * free):
@@ -106,8 +108,10 @@ class _SparseCorrEngine:
             return last[1]
         # allocated first, the kept block sits below the temporaries in the heap
         block = np.empty((idx.size, self.A.shape[0]))
-        X = self._constrain(self._solve(self.A[idx].T.toarray()))
-        np.divide(np.abs((self.A @ X).T), np.outer(self.sd[idx], self.sd), out=block)
+        for J, AJ in row_slabs(self.A[idx]):
+            X = self._constrain(self._solve(AJ.T.toarray()))
+            np.divide(np.abs((self.A @ X).T), np.outer(self.sd[idx[J]], self.sd),
+                      out=block[J])
         block[np.arange(idx.size), idx] = 1.0
         np.minimum(block, 1.0, out=block)
         block.flags.writeable = False
@@ -141,18 +145,11 @@ def _restrict_constraints(model, cols):
     return np.array(rows).reshape(-1, cols.size)
 
 
-def _kriging(C, W, cho):
-    """x -> x - W (C W)^-1 C x for ``cho`` the factor of C W, or x -> x."""
-    return (lambda x: x) if cho is None else (lambda x: x - W @ cho_solve(cho, C @ x))
-
-
 def _make_engine(source, ga):
     model = ga.model
     if source.kind == "posterior":
         # not the fit's bound methods, which would tie fit and engine in a cycle
-        C = None if model.constraints is None else model.constraints[0]
-        return _SparseCorrEngine(model.design, ga._solve,
-                                 _kriging(C, ga.constraint_w, ga.constraint_cho))
+        return _SparseCorrEngine(model.design, ga._solve, ga._kriging)
 
     comps = _selected_components(model, source.subset)
     cols = np.concatenate([model.offsets[c.name] + np.arange(c.size) for c in comps])
@@ -179,7 +176,7 @@ def _make_engine(source, ga):
     keep = np.einsum("ij,ji->i", C, W) > _ROUNDOFF * max(np.abs(W).max(initial=0.0), 1.0)
     C, W = C[keep], W[:, keep]
     return _SparseCorrEngine(A_sel, solve,
-                             _kriging(C, W, cho_factor(C @ W) if keep.any() else None))
+                             kriging(C, W, cho_factor(C @ W) if keep.any() else None))
 
 
 def _engine_for(source, ga):

@@ -102,7 +102,7 @@ class Binomial:
 
     def validate(self, y):
         n = _as_vector(self.n_trials, np.size(y), "n_trials")
-        if np.any(n < 1) or np.any(n != np.floor(n)):
+        if not np.all(np.isfinite(n) & (n >= 1) & (n == np.floor(n))):
             raise LikelihoodError("binomial trial counts must be integers >= 1")
         if np.any(y < 0) or np.any(y > n):
             raise LikelihoodError("binomial responses must satisfy 0 <= y <= n")

@@ -3,6 +3,7 @@ import pickle
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -345,6 +346,22 @@ def test_cv_non_finite_covariate_exits_2(tmp_path, capsys, bad):
                  "--out", str(tmp_path / "cv")]) == 2
     err = capsys.readouterr().err
     assert "error: design entries must be finite" in err
+    assert "Traceback" not in err
+
+
+def test_cv_infinite_trials_exits_2(tmp_path, capsys):
+    spec = tmp_path / "binomial.spec"
+    spec.write_text(BINOMIAL_SPEC.replace("trials = 10", "trials = inf"))
+    data = tmp_path / "binomial.csv"
+    write_data(str(data), {"y": np.arange(12.0) % 11, "x": np.linspace(-1.0, 1.0, 12)})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["cv", "--model", str(spec), "--data", str(data),
+                     "--out", str(tmp_path / "cv")])
+    assert code == 2
+    assert caught == []
+    err = capsys.readouterr().err
+    assert "error: binomial trial counts must be integers >= 1" in err
     assert "Traceback" not in err
 
 

@@ -1,4 +1,5 @@
 import copy
+import gc
 import logging
 
 import numpy as np
@@ -646,3 +647,30 @@ def test_mixed_sizes_match_one_at_a_time(monkeypatch, columns):
     np.testing.assert_allclose(res.density, want, rtol=1e-12, atol=0)
     assert len(stacks) > len(unions) and max(unions) <= engine.RHS_BATCH
     assert sum(k for k, _ in stacks) == len({tuple(groups[i]) for i in test})
+
+
+@pytest.mark.parametrize("scenario, source, m", [
+    ("multilevel-binomial", CorrelationSource("posterior"), 1),
+    ("ar1-forecast", CorrelationSource("prior", ("trend",)), 3),
+], ids=["multilevel-posterior", "ar1-prior"])
+def test_pipeline_leaves_no_cyclic_garbage(scenario, source, m):
+    """Grid, fits, groups and CV free everything by reference counting: a
+    cycle would hand its frees to the next collection, wherever that runs."""
+    data = simulate.scenario_data(scenario, 0)
+    if scenario == "ar1-forecast":
+        data = {k: v[:200] for k, v in data.items()}
+    gc.collect()
+    gc.disable()
+    try:
+        model = simulate.scenario_model(scenario, data)
+        grid = build_theta_grid(model)
+        gas = fit_grid_approximations(model, grid)
+        ga = gas[int(np.argmax(grid.log_posteriors))]
+        test = list(range(model.n_obs))[-40:]
+        spec = build_groups(source, ga, m=m, indices=test)
+        res = compute_lgocv(model, grid, spec, gas=gas, test_indices=test)
+        assert np.isfinite(res.utility)
+        del model, grid, gas, ga, spec, res
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

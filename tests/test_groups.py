@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import lgocv.covariance
 import lgocv.groups
-from lgocv.approx import find_mode
+from lgocv.approx import find_mode, kriging
+from lgocv.covariance import eta_covariance
 from lgocv.components import Ar1, Besag, FixedEffects, Iid, Rw1, Rw2
 from lgocv.groups import (CorrelationSource, GroupingError, build_groups,
                           correlation_row, group_from_row,
@@ -419,7 +421,7 @@ def test_proper_prior_with_constraint_keeps_its_sparse_path():
     W = lu.solve(C.T)
     cho = cho_factor(C @ W)
     plain = lgocv.groups._SparseCorrEngine(
-        model.design[:, cols], lu.solve, lambda x: x - W @ cho_solve(cho, C @ x))
+        model.design[:, cols], lu.solve, kriging(C, W, cho))
     idx = np.arange(model.n_obs)
     rows = lgocv.groups._engine_for(source, ga).rows(idx)
     assert np.array_equal(rows, plain.rows(idx))
@@ -465,6 +467,79 @@ def test_intrinsic_prior_groups_form_no_dense_covariance(monkeypatch):
         tracemalloc.stop()
     assert len(spec.groups) == p
     assert peak < p * p * 8
+
+
+def test_prior_solves_keep_no_latent_by_obs_block():
+    """eta_covariance of 300 observations and the prior engine's set-up on a
+    p = 2001 AR(1) stay below one p x 300 block of floats."""
+    model = ar1_scenario(2000)
+    ga = fitted(model)
+    p = model.latent_size
+    assert p == 2001
+    block = p * 300 * 8
+    tracemalloc.start()
+    try:
+        eta_covariance(ga, np.arange(model.n_obs)[-300:])
+        _, cov_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        lgocv.groups._make_engine(CorrelationSource("prior", ("trend",)), ga)
+        _, engine_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert cov_peak < block
+    assert engine_peak < block
+
+
+SLAB_CASES = {
+    "ar1-sum-row": (lambda: ar1_model(n=30, extra_constraints=(
+        after_intercept(np.ones(30)), [0.0])), CorrelationSource("prior", ("trend",))),
+    "besag-constrained": (lambda: besag_lattice(6), CorrelationSource("prior", ("spatial",))),
+    "rw2": (lambda: walk_model(Rw2("walk", 25)), CorrelationSource("prior", ("walk",))),
+    "ar1-two-rows": (lambda: ar1_model(n=30, extra_constraints=(
+        np.vstack([after_intercept(np.ones(30)), after_intercept(np.arange(30.0) - 14.5)]),
+        [0.0, 0.0])), CorrelationSource("prior", ("trend",))),
+    "rw2-trend-row": (lambda: walk_model(Rw2("walk", 25), (
+        after_intercept(np.arange(25.0)), [0.0])), POSTERIOR),
+    "multilevel-posterior": (lambda: multilevel_poisson(seed=4, classes=6, per_class=5),
+                             POSTERIOR),
+}
+
+
+@pytest.mark.parametrize("case", SLAB_CASES)
+def test_slabs_match_one_slab_bitwise(case, monkeypatch):
+    """Solves in slabs of 1, 3 and 7 columns give the same bits as one
+    slab: eta_covariance, the engine's sd and rows, and the groups."""
+    make, source = SLAB_CASES[case]
+    ga = fitted(make())
+    n, p = ga.model.n_obs, ga.model.latent_size
+    obs = np.random.default_rng(1).permutation(n)[:17]
+    p_engine = lgocv.groups._make_engine(source, ga).A.shape[1]
+
+    def run(width):
+        if width is not None:
+            monkeypatch.setattr(lgocv.covariance, "SLAB_BYTES", 8 * p * width)
+            assert lgocv.covariance.slab_width(p) == width
+        em = eta_covariance(ga, obs)
+        if width is not None:
+            monkeypatch.setattr(lgocv.covariance, "SLAB_BYTES", 8 * p_engine * width)
+            assert lgocv.covariance.slab_width(p_engine) == width
+        ga.__dict__.pop("_corr_engines", None)
+        engine = lgocv.groups._engine_for(source, ga)
+        rows = engine.rows(obs)
+        spec = build_groups(source, ga, m=2)
+        return em, engine.sd, rows, spec
+
+    em, sd, rows, spec = run(None)
+    assert lgocv.covariance.slab_width(max(p, p_engine)) >= n
+    for width in (1, 3, 7):
+        em_w, sd_w, rows_w, spec_w = run(width)
+        assert np.array_equal(em_w.mu, em.mu)
+        assert np.array_equal(em_w.sigma, em.sigma)
+        assert np.array_equal(sd_w, sd)
+        assert np.array_equal(rows_w, rows)
+        assert list(spec_w.groups) == list(spec.groups)
+        for i in spec.groups:
+            assert np.array_equal(spec_w[i], spec[i])
 
 
 def test_group_io_round_trip(tmp_path):

@@ -93,6 +93,9 @@ def test_support_validation():
         Binomial(n_trials=3.0).validate(np.array([4.0]))
     with pytest.raises(LikelihoodError):
         Binomial(n_trials=0.0).validate(np.array([0.0]))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(LikelihoodError, match="integers >= 1"):
+            Binomial(n_trials=np.array([3.0, bad])).validate(np.array([1.0, 2.0]))
     with pytest.raises(LikelihoodError):
         Exponential().validate(np.array([0.0]))
 
