@@ -10,7 +10,8 @@ A' diag(c) A the pattern of its fit plan, exact zeros stored as values.  So
 what theta does not change is computed once per model, in its fit plan: Q's
 pattern and the column ordering of Q's LU (Rue & Held 2005, sec. 2.4: a
 GMRF's fill-reducing ordering depends on its graph only).  A fit computes
-values only: P's and Q's entries, and LUs of Q that reuse the ordering.
+values only: P's and Q's entries, and LUs of Q that reuse the ordering.  A
+Newton step writes Q's values into one kept CSC shell and reads no pivots.
 """
 
 from __future__ import annotations
@@ -49,17 +50,20 @@ class FactorizationError(RuntimeError):
     pass
 
 
-def _splu(Q, permc_spec=None):
-    """Sparse LU of a CSC matrix Q and the diagonal of its U factor,
-    checked finite."""
+def _finite(x):
+    if not np.all(np.isfinite(x)):
+        raise FactorizationError("factorization produced non-finite pivots")
+    return x
+
+
+def _splu(Q, permc_spec=None, pivots=True):
+    """Sparse LU of a CSC matrix Q and the diagonal of its U factor, checked
+    finite, or None without ``pivots`` (reading U converts L and U to CSC)."""
     try:
         lu = spla.splu(Q, permc_spec=permc_spec)
     except RuntimeError as exc:
         raise FactorizationError(f"sparse factorization failed: {exc}") from exc
-    pivots = lu.U.diagonal()
-    if not np.all(np.isfinite(pivots)):
-        raise FactorizationError("factorization produced non-finite pivots")
-    return lu, pivots
+    return lu, _finite(lu.U.diagonal()) if pivots else None
 
 
 def _unique(codes):
@@ -102,14 +106,16 @@ class _DesignTerms:
 class _FitPlan:
     """What every Newton fit of one model shares.
 
-    ``hessian`` gives Q(c) = P + A' diag(c) A on one pattern, the union of
-    the model's ``prior_pattern`` and the design terms', with indices sorted
-    and exact zeros stored.  Each entry is scipy's ``(P + A.T @ sp.diags(c)
-    @ A)``: the products (a_ij c_i) a_ik summed in ascending i, then P
-    added.  The model's first LU runs COLAMD; later ones factorize Q Pc, Pc
-    that column ordering, with no ordering step, and solve and pivot bitwise
-    as a fresh ``splu`` of Q.  ``constraint_rows`` is C as CSR, for
-    ``kriging``.
+    ``hessian`` gives the values of Q(c) = P + A' diag(c) A on one pattern
+    (``indices``, ``indptr``), the union of the model's ``prior_pattern``
+    and the design terms', indices sorted and exact zeros stored.  Each is
+    scipy's ``(P + A.T @ sp.diags(c) @ A)``: the products (a_ij c_i) a_ik
+    summed in ascending i, then P added.  The model's first LU runs COLAMD;
+    later ones write Q's values into one kept CSC shell on the pattern of
+    Q Pc, Pc that column ordering, factorize it with no ordering step, and
+    solve and pivot bitwise as a fresh ``splu`` of Q.  No LU keeps the
+    shell's values, but the shell makes ``find_mode`` non-reentrant per
+    model; nothing calls it concurrently.  ``constraint_rows`` is C as CSR.
     """
 
     def __init__(self, model):
@@ -130,31 +136,34 @@ class _FitPlan:
         return np.bincount(self.p_pos, weights=P.data, minlength=self.codes.size)
 
     def hessian(self, c, p_data):
-        """Q at curvatures c for the prior whose ``scatter`` is p_data."""
+        """Q's values at curvatures c for the prior whose ``scatter`` is p_data."""
         t = self.terms
-        data = np.bincount(self.pos, weights=(t.a_j * c[t.rows]) * t.a_k,
+        return np.bincount(self.pos, weights=(t.a_j * c[t.rows]) * t.a_k,
                            minlength=p_data.size) + p_data
-        return sp.csc_matrix((data, self.indices, self.indptr), shape=(t.p, t.p))
 
-    def factorize(self, Q):
-        """(solve, pivots) for Q; the model's first LU computes the ordering."""
+    def factorize(self, data, pivots=True):
+        """(solve, pivots) for Q's values ``data``, as ``_splu``; the first LU orders."""
         if self.ordering is None:
-            lu, pivots = _splu(Q)
+            lu, pivots = _splu(sp.csc_matrix((data, self.indices, self.indptr),
+                                             shape=(self.terms.p,) * 2), pivots=pivots)
             self._keep(lu.perm_c.copy())   # a copy: perm_c is a view that pins the LU
             return lu.solve, pivots
-        perm_c, take, indices, indptr = self.ordering
-        lu, pivots = _splu(sp.csc_matrix((Q.data[take], indices, indptr),
-                                         shape=Q.shape), permc_spec="NATURAL")
+        perm_c, take, shell = self.ordering
+        np.take(data, take, out=shell.data)
+        lu, pivots = _splu(shell, "NATURAL", pivots)
         # x = Pc y in one copy, kept in the Fortran order SuperLU returns
         return (lambda rhs: np.take(lu.solve(rhs).T, perm_c, axis=-1).T), pivots
 
     def _keep(self, perm_c):
-        """The take map of Q Pc = Q[:, argsort(perm_c)] on the pattern."""
+        """The take map of Q Pc = Q[:, argsort(perm_c)] on the pattern, and a shell."""
         order = np.argsort(perm_c)
         counts = np.diff(self.indptr)[order]
         indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
         take = np.repeat(self.indptr[order] - indptr[:-1], counts) + np.arange(self.codes.size)
-        self.ordering = (perm_c, take, self.indices[take], indptr)
+        shell = sp.csc_matrix((np.empty(take.size), self.indices[take], indptr),
+                              shape=(perm_c.size,) * 2)
+        shell.has_canonical_format = True
+        self.ordering = (perm_c, take, shell)
 
 
 _FIT_PLANS = weakref.WeakKeyDictionary()     # one per (immutable) model
@@ -173,7 +182,7 @@ class _Linearization(NamedTuple):
     c: np.ndarray               # -g''(eta), clipped at 0
     b: np.ndarray               # g'(eta) - g''(eta) eta
     solve: object               # x -> Q^{-1} x, Q = P + A' diag(c) A
-    pivots: np.ndarray          # diagonal of U
+    pivots: np.ndarray          # diagonal of U, None at a Newton step
     mu_unc: np.ndarray          # Q^{-1} A' b
     mu: np.ndarray              # mu_unc kriged onto the constraints
     constraint_w: object        # Q^{-1} C', or None without constraints
@@ -257,16 +266,17 @@ def _feasible_start(model):
     return C.T @ np.linalg.solve(C @ C.T, e)
 
 
-def _linearize(plan, p_data, At, C_e, eta, g1, g2):
+def _linearize(plan, p_data, At, C_e, eta, g1, g2, final=False):
     """Quadratic model of the log posterior at eta, factorized and solved.
 
     Factorizes Q = ``plan.hessian(c, p_data)``, solves Q mu_unc = A' b
-    (``At`` is A') and kriges mu_unc onto the constraints ``C_e``.
+    (``At`` is A') and kriges mu_unc onto the constraints ``C_e``; only the
+    ``final`` one reads Q's pivots, a Newton step checks mu_unc instead.
     """
     c = np.maximum(-g2, 0.0)
     b = g1 - g2 * eta
-    solve, pivots = plan.factorize(plan.hessian(c, p_data))
-    mu_unc = solve(At @ b)
+    solve, pivots = plan.factorize(plan.hessian(c, p_data), final)
+    mu_unc = solve(At @ b) if final else _finite(solve(At @ b))
     if C_e is None:
         return _Linearization(c, b, solve, pivots, mu_unc, mu_unc, None, None, None)
     C, e = C_e
@@ -317,7 +327,7 @@ def find_mode(model, theta, init=None):
         if delta <= NEWTON_TOL:
             # refresh the linearization at the accepted point: one LU per
             # Newton step plus this one
-            lin = _linearize(plan, p_data, At, C_e, eta, g1, g2)
+            lin = _linearize(plan, p_data, At, C_e, eta, g1, g2, final=True)
             g_m = model.loglik(theta, A @ lin.mu)
             return GaussianApprox(model, theta, lin, g=g_m, P=P, n_iter=it,
                                   n_lu=it + 1)

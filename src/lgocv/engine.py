@@ -146,8 +146,9 @@ def _gauss_hermite(order):
     return nodes, wts
 
 
-def _integrand_modes(fam, y, hyper, mean, var, tol=1e-10, max_iter=60):
-    """Modes and curvature scales of pi(y_i|eta) N(eta; mean_i, var_i).
+def _integrand_modes(fam, hyper, mean, var, tol=1e-10, max_iter=60):
+    """Modes and curvature scales of pi(y_i|eta) N(eta; mean_i, var_i), for
+    ``fam`` the likelihood observed at y (``observe``).
 
     Each integrand is strictly log-concave (log-concave likelihood plus a
     Gaussian), so a safeguarded 1-D Newton always converges.  The Newton
@@ -156,7 +157,7 @@ def _integrand_modes(fam, y, hyper, mean, var, tol=1e-10, max_iter=60):
     entry follows the iterates of a Newton run on it alone.
     """
     eta = mean.copy()
-    g, g1, g2 = fam.derivatives(y, eta, hyper)
+    g, g1, g2 = fam.derivatives(eta, hyper)
     val = g - 0.5 * (eta - mean) ** 2 / var
     active = np.ones(eta.size, dtype=bool)
     for _ in range(max_iter):
@@ -166,7 +167,8 @@ def _integrand_modes(fam, y, hyper, mean, var, tol=1e-10, max_iter=60):
         search = active.copy()
         for _ in range(40):
             eta_new[search] = eta[search] + alpha[search] * step[search]
-            t, t1, t2 = fam.derivatives(y, eta_new, hyper)
+            with np.errstate(over="ignore"):     # an overflow is inf, rejected
+                t, t1, t2 = fam.derivatives(eta_new, hyper)
             vt = t - 0.5 * (eta_new - mean) ** 2 / var
             g[search], g1[search], g2[search] = t[search], t1[search], t2[search]
             val_new[search] = vt[search]
@@ -189,7 +191,8 @@ def gh_log_predictive(model, theta, idx, mean, var, order=DEFAULT_GH_ORDER):
     and scaled by its curvature there, which makes the rule exact when the
     likelihood is Gaussian however narrow it is relative to N(mean, var).
     Scalar ``idx``, ``mean`` and ``var`` give a float; arrays of equal
-    length give one value per entry, from one batched Newton.
+    length give one value per entry, from one batched Newton.  The
+    likelihood's data-only terms are computed once for every node.
     """
     scalar = np.ndim(idx) == 0
     idx = np.atleast_1d(np.asarray(idx, dtype=int))
@@ -198,12 +201,11 @@ def gh_log_predictive(model, theta, idx, mean, var, order=DEFAULT_GH_ORDER):
     if np.any(var <= 0):
         raise DowndateError(DEGENERATE_VARIANCE)
     hyper = model.hyper_dict(getattr(theta, "values", theta))
-    fam = model.subset_likelihood(idx)
-    y = model.y[idx]
-    eta_hat, scale = _integrand_modes(fam, y, hyper, mean, var)
+    fam = model.subset_likelihood(idx).observe(model.y[idx])
+    eta_hat, scale = _integrand_modes(fam, hyper, mean, var)
     nodes, wts = _gauss_hermite(order)
     eta = eta_hat + np.sqrt(2.0) * scale * nodes[:, None]     # (order, n)
-    logf = (np.array([fam.log_density(y, e, hyper) for e in eta])
+    logf = (np.array([fam.log_density(e, hyper) for e in eta])
             - 0.5 * (eta - mean) ** 2 / var + (nodes ** 2)[:, None])
     mx = logf.max(axis=0)
     log_sum = mx + np.log(wts @ np.exp(logf - mx))

@@ -76,8 +76,10 @@ class GroupSpec:
 
 
 def _quad(AJ, X):
-    """diag(AJ X) for a sparse row block AJ and dense columns X."""
-    return np.asarray(AJ.multiply(X.T).sum(axis=1)).ravel()
+    """diag(AJ X) for a CSR row block AJ and dense columns X: each row's
+    products summed in stored order, as ``AJ.multiply(X.T).sum(axis=1)``."""
+    rows = np.repeat(np.arange(AJ.shape[0]), np.diff(AJ.indptr))
+    return np.bincount(rows, weights=AJ.data * X[AJ.indices, rows], minlength=AJ.shape[0])
 
 
 class _SparseCorrEngine:

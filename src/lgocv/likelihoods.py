@@ -3,11 +3,18 @@
 Each family provides the per-observation log density g_i(eta_i) and its
 first two derivatives in the linear predictor.  All supported families are
 log-concave in eta, so the curvature -g'' is nonnegative everywhere.
+
+``observe(y)`` gives a family at fixed responses y, with its data-only
+terms computed once: the binomial trial counts and log binomial
+coefficients, the Poisson log offsets and log y!.  A Newton iteration or a
+quadrature rule evaluates it at many eta, with the same expressions, in the
+same order, as ``log_density`` and ``derivatives`` at each one.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln, expit
@@ -26,8 +33,27 @@ def _as_vector(x, n, name):
     return a
 
 
+class Observed(NamedTuple):
+    """A family at fixed responses: functions of (eta, hyper=None)."""
+
+    log_density: object         # g per observation
+    derivatives: object         # (g, g', g'') per observation
+
+
+class _Family:
+    """A family's values at responses y, each call through ``observe(y)``."""
+
+    def log_density(self, y, eta, hyper=None):
+        """g_i(eta_i) per observation at responses y."""
+        return self.observe(y).log_density(eta, hyper)
+
+    def derivatives(self, y, eta, hyper=None):
+        """(g, g', g'') per observation at responses y."""
+        return self.observe(y).derivatives(eta, hyper)
+
+
 @dataclass(frozen=True)
-class Gaussian:
+class Gaussian(_Family):
     """Gaussian response with known or hyper-linked observation precision.
 
     ``precision`` is either a positive float or the name of a hyperparameter
@@ -48,20 +74,21 @@ class Gaussian:
             return float(np.exp(hyper[self.precision]))
         return float(self.precision)
 
-    def log_density(self, y, eta, hyper=None):
-        tau = self._prec(hyper or {})
-        return 0.5 * np.log(tau / (2.0 * np.pi)) - 0.5 * tau * (y - eta) ** 2
+    def observe(self, y):
+        def log_density(eta, hyper=None):
+            tau = self._prec(hyper or {})
+            return 0.5 * np.log(tau / (2.0 * np.pi)) - 0.5 * tau * (y - eta) ** 2
 
-    def derivatives(self, y, eta, hyper=None):
-        tau = self._prec(hyper or {})
-        g = 0.5 * np.log(tau / (2.0 * np.pi)) - 0.5 * tau * (y - eta) ** 2
-        g1 = tau * (y - eta)
-        g2 = np.full_like(np.asarray(eta, dtype=float), -tau)
-        return g, g1, g2
+        def derivatives(eta, hyper=None):
+            tau = self._prec(hyper or {})
+            g2 = np.full_like(np.asarray(eta, dtype=float), -tau)
+            return log_density(eta, hyper), tau * (y - eta), g2
+
+        return Observed(log_density, derivatives)
 
 
 @dataclass(frozen=True)
-class Poisson:
+class Poisson(_Family):
     """Poisson counts with strictly positive per-observation offsets E_i."""
 
     offset: np.ndarray | float = 1.0
@@ -76,23 +103,22 @@ class Poisson:
         if not np.all(np.isfinite(E) & (E > 0)):
             raise LikelihoodError("poisson offsets must be finite and positive")
 
-    def _E(self, n):
-        return _as_vector(self.offset, n, "offset")
+    def observe(self, y):
+        E = _as_vector(self.offset, np.size(y), "offset")
+        log_e, log_fact = np.log(E), gammaln(y + 1.0)
 
-    def log_density(self, y, eta, hyper=None):
-        E = self._E(np.size(y))
-        lam = E * np.exp(eta)
-        return y * (np.log(E) + eta) - lam - gammaln(y + 1.0)
+        def log_density(eta, hyper=None):
+            return y * (log_e + eta) - E * np.exp(eta) - log_fact
 
-    def derivatives(self, y, eta, hyper=None):
-        E = self._E(np.size(y))
-        lam = E * np.exp(eta)
-        g = y * (np.log(E) + eta) - lam - gammaln(y + 1.0)
-        return g, y - lam, -lam
+        def derivatives(eta, hyper=None):
+            lam = E * np.exp(eta)
+            return y * (log_e + eta) - lam - log_fact, y - lam, -lam
+
+        return Observed(log_density, derivatives)
 
 
 @dataclass(frozen=True)
-class Binomial:
+class Binomial(_Family):
     """Binomial counts with logit link and per-observation trial counts."""
 
     n_trials: np.ndarray | float = 1.0
@@ -107,22 +133,23 @@ class Binomial:
         if np.any(y < 0) or np.any(y > n):
             raise LikelihoodError("binomial responses must satisfy 0 <= y <= n")
 
-    def log_density(self, y, eta, hyper=None):
+    def observe(self, y):
         n = _as_vector(self.n_trials, np.size(y), "n_trials")
-        # y*eta - n*log(1+e^eta), with the stable log1p(exp(.)) form
-        lse = np.logaddexp(0.0, eta)
         lc = gammaln(n + 1.0) - gammaln(y + 1.0) - gammaln(n - y + 1.0)
-        return lc + y * eta - n * lse
 
-    def derivatives(self, y, eta, hyper=None):
-        n = _as_vector(self.n_trials, np.size(y), "n_trials")
-        p = expit(eta)
-        g = self.log_density(y, eta)
-        return g, y - n * p, -n * p * (1.0 - p)
+        def log_density(eta, hyper=None):
+            # y*eta - n*log(1+e^eta), with the stable log1p(exp(.)) form
+            return lc + y * eta - n * np.logaddexp(0.0, eta)
+
+        def derivatives(eta, hyper=None):
+            p = expit(eta)
+            return log_density(eta), y - n * p, -n * p * (1.0 - p)
+
+        return Observed(log_density, derivatives)
 
 
 @dataclass(frozen=True)
-class Exponential:
+class Exponential(_Family):
     """Exponential responses with mean exp(eta), i.e. rate exp(-eta)."""
 
     kind = "exponential"
@@ -133,12 +160,15 @@ class Exponential:
         if np.any(y <= 0):
             raise LikelihoodError("exponential responses must be strictly positive")
 
-    def log_density(self, y, eta, hyper=None):
-        return -eta - y * np.exp(-eta)
+    def observe(self, y):
+        def log_density(eta, hyper=None):
+            return -eta - y * np.exp(-eta)
 
-    def derivatives(self, y, eta, hyper=None):
-        w = y * np.exp(-eta)
-        return -eta - w, -1.0 + w, -w
+        def derivatives(eta, hyper=None):
+            w = y * np.exp(-eta)
+            return -eta - w, -1.0 + w, -w
+
+        return Observed(log_density, derivatives)
 
 
 FAMILIES = {

@@ -198,19 +198,28 @@ class LgmModel:
         hyper = self.hyper_dict(getattr(theta, "values", theta))
         return float(sum(c.log_det(hyper) for c in self.components))
 
+    @cached_property
+    def _observed(self):
+        """The likelihood at the responses, its data-only terms computed once."""
+        return self.likelihood.observe(self.y)
+
     def loglik_derivatives(self, theta, eta):
-        """(g, g', g'') per observation at linear predictors eta."""
+        """(g, g', g'') per observation at linear predictors eta.
+
+        A value that overflows (Poisson's E e^eta past 1.8e308) is inf, with
+        no warning: the Newton line search rejects such a trial point.
+        """
         eta = np.asarray(eta, dtype=float)
         if not np.all(np.isfinite(eta)):
             raise LikelihoodError("linear predictors must be finite")
         hyper = self.hyper_dict(getattr(theta, "values", theta))
-        return self.likelihood.derivatives(self.y, eta, hyper)
+        with np.errstate(over="ignore"):
+            return self._observed.derivatives(eta, hyper)
 
     def loglik(self, theta, eta):
         """Log likelihood value per observation at linear predictors eta."""
         hyper = self.hyper_dict(getattr(theta, "values", theta))
-        return self.likelihood.log_density(self.y, np.asarray(eta, dtype=float),
-                                           hyper)
+        return self._observed.log_density(np.asarray(eta, dtype=float), hyper)
 
     def subset_likelihood(self, idx):
         """Likelihood family restricted to observations ``idx``."""

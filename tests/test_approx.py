@@ -376,8 +376,14 @@ def test_hessian_equals_the_scipy_expression(name, zeros):
         c = rng.gamma(1.0, size=n) * 10 ** rng.uniform(-3, 3, size=n)
         if zeros:
             c[rng.choice(n, size=n // 3, replace=False)] = 0.0
-        Q = plan.hessian(c, p_data)
+        Q = _plan_csc(plan, plan.hessian(c, p_data))
         _assert_scipy_values_on_the_plan_pattern(Q, plan, P, model.design, c)
+
+
+def _plan_csc(plan, data):
+    """Q as a CSC matrix, from its values on the plan's pattern."""
+    p = plan.terms.p
+    return sp.csc_matrix((data, plan.indices, plan.indptr), shape=(p, p))
 
 
 def _assert_scipy_values_on_the_plan_pattern(Q, plan, P, A, c):
@@ -419,7 +425,7 @@ def test_hessian_stores_zeros_on_the_fixed_pattern():
     # zero: every off-diagonal entry but (j, 5), and (2, 2), (3, 3)
     assert P.nnz - np.count_nonzero(P.data) == 2 * (p - 1) - 1 + 2
     plan = approx._fit_plan(model)
-    Q = plan.hessian(c, plan.scatter(P))
+    Q = _plan_csc(plan, plan.hessian(c, plan.scatter(P)))
     _assert_scipy_values_on_the_plan_pattern(Q, plan, P, A, c)
     assert Q.nnz == plan.codes.size
     col = slice(Q.indptr[5], Q.indptr[6])
@@ -453,11 +459,15 @@ def test_reused_ordering_factorizes_like_a_fresh_splu(name):
     for _ in range(12):
         theta = rng.normal(0.5, 1.0, size=model.theta_dim)
         c = rng.gamma(1.0, size=n) * 10 ** rng.uniform(-3, 3, size=n)
-        Q = plan.hessian(c, plan.scatter(model.prior_precision(theta)))
+        data = plan.hessian(c, plan.scatter(model.prior_precision(theta)))
+        Q = _plan_csc(plan, data)
         ordered.append(plan.ordering is None)
-        solve, pivots = plan.factorize(Q)
+        solve, pivots = plan.factorize(data)
         lu = spla.splu(Q)
         assert pivots.tobytes() == lu.U.diagonal().tobytes()
+        _assert_same_solves(solve, lu.solve, p, rng)
+        solve, pivots = plan.factorize(data, pivots=False)     # a Newton step's LU
+        assert pivots is None
         _assert_same_solves(solve, lu.solve, p, rng)
     assert ordered == [True] + [False] * 11
 
@@ -472,16 +482,16 @@ def test_fits_reusing_the_ordering_equal_fresh_ones(name, monkeypatch):
     specs = []
     splu = approx._splu
 
-    def recorded(Q, permc_spec=None):
+    def recorded(Q, permc_spec=None, pivots=True):
         specs.append(permc_spec)
-        return splu(Q, permc_spec)
+        return splu(Q, permc_spec, pivots)
 
     monkeypatch.setattr(approx, "_splu", recorded)
     reused = [find_mode(model, t) for t in thetas]
     assert specs == [None] + ["NATURAL"] * (sum(ga.n_lu for ga in reused) - 1)
 
-    def colamd_every_lu(plan, Q):
-        lu, pivots = splu(Q)
+    def colamd_every_lu(plan, data, pivots=True):
+        lu, pivots = splu(_plan_csc(plan, data), pivots=pivots)
         return lu.solve, pivots
 
     monkeypatch.setattr(approx._FitPlan, "factorize", colamd_every_lu)
@@ -504,13 +514,115 @@ def test_lu_of_a_zero_bearing_q_equals_a_fresh_splu():
     plan.factorize(plan.hessian(c, p_data))
     ordering = plan.ordering
     c[model.design[:, 3].nonzero()[0]] = 0.0     # no curvature reaches latent 3
-    Q = plan.hessian(c, p_data)
+    data = plan.hessian(c, p_data)
+    Q = _plan_csc(plan, data)
     assert Q.nnz == plan.codes.size > np.count_nonzero(Q.data)
-    solve, pivots = plan.factorize(Q)
+    solve, pivots = plan.factorize(data)
     lu = spla.splu(Q)
     assert plan.ordering is ordering
     assert pivots.tobytes() == lu.U.diagonal().tobytes()
     _assert_same_solves(solve, lu.solve, model.latent_size, np.random.default_rng(13))
+
+
+# -- lean Newton steps --------------------------------------------------------
+
+SINGULAR = "^sparse factorization failed: Factor is exactly singular$"
+NON_FINITE = "^factorization produced non-finite pivots$"
+
+
+@pytest.mark.parametrize("at, bad, message", [
+    (0, np.nan, SINGULAR),
+    (0, -np.inf, SINGULAR),
+    (slice(0, 2), -3e307, NON_FINITE),
+], ids=["nan", "inf", "overflow"])
+def test_non_finite_curvature_at_a_newton_step_raises(at, bad, message, monkeypatch):
+    """A non-finite curvature at a Newton step that is not the last fails
+    that step's LU with SuperLU's message, as when every LU read its pivots.
+    A curvature of 3e307 gives finite pivots but a solve that overflows;
+    the step's LU fails with the pivot check's message, where a fit used to
+    go on to a non-finite linear predictor."""
+    model = multilevel_poisson()
+    theta = model.hyper_point(np.zeros(0))
+    assert find_mode(model, theta).n_iter >= 3
+    derivatives, calls, lus = model.loglik_derivatives, [], []
+
+    def spoiled(theta, eta):
+        """g'' spoiled from the second evaluation on; g and g' as they
+        were, so the line search accepts the same points."""
+        g, g1, g2 = derivatives(theta, eta)
+        calls.append(eta)
+        if len(calls) > 1:
+            g2 = g2.copy()
+            g2[at] = bad
+        return g, g1, g2
+
+    splu = approx._splu
+
+    def recorded(Q, permc_spec=None, pivots=True):
+        lus.append(pivots)
+        return splu(Q, permc_spec, pivots)
+
+    monkeypatch.setattr(model, "loglik_derivatives", spoiled)
+    monkeypatch.setattr(approx, "_splu", recorded)
+    with pytest.raises(approx.FactorizationError, match=message):
+        find_mode(model, theta)
+    assert lus == [False, False]        # the second Newton step's LU failed
+
+
+def test_newton_steps_build_no_sparse_matrix(monkeypatch):
+    """After a model's first fit, the sparse matrices a fit builds do not
+    grow with its Newton iterations, and only its final LU reads pivots."""
+    model = multilevel_poisson()
+    theta = model.hyper_point(np.zeros(0))
+    first = find_mode(model, theta)              # the LU that orders columns
+    built, lus = [], []
+    init = sp._base._spbase.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+
+    splu = approx._splu
+
+    def recorded(Q, permc_spec=None, pivots=True):
+        lu, diag = splu(Q, permc_spec, pivots)
+        lus.append(diag is not None)
+        return lu, diag
+
+    monkeypatch.setattr(sp._base._spbase, "__init__", counted)
+    monkeypatch.setattr(approx, "_splu", recorded)
+    per_fit = {}
+    for start in (None, first.mu):               # cold, then from the mode
+        built.clear()
+        lus.clear()
+        ga = find_mode(model, theta, init=start)
+        per_fit[ga.n_iter] = len(built)
+        assert lus == [False] * ga.n_iter + [True]
+    assert len(per_fit) == 2 and min(per_fit) == 1
+    assert len(set(per_fit.values())) == 1, per_fit
+
+
+@pytest.mark.parametrize("name", ["ar1-estimated-rho", "besag-estimated"])
+def test_a_kept_fit_is_not_aliased_by_the_shell(name):
+    """Fitting a second theta writes the model's shell again; the first
+    fit's log determinant, mode and solves stay byte-equal."""
+    model = (besag_lattice(log_prec="lp") if name == "besag-estimated"
+             else HESSIAN_MODELS[name]())
+    rng = np.random.default_rng(14)
+    p = model.latent_size
+    rhs = [rng.normal(size=p), rng.normal(size=(p, 3))]
+
+    def state(ga):
+        return (repr(ga.log_det_q), ga.mu.tobytes(),
+                [ga.solve(r).tobytes() for r in rhs],
+                [ga.constrain(ga.solve(r)).tobytes() for r in rhs])
+
+    find_mode(model, np.full(model.theta_dim, -0.5))     # orders the columns
+    kept = find_mode(model, np.full(model.theta_dim, 0.3))
+    before = state(kept)
+    other = find_mode(model, np.full(model.theta_dim, 1.1))
+    assert repr(other.log_det_q) != before[0]
+    assert state(kept) == before
 
 
 # -- the grid's fits ----------------------------------------------------------

@@ -365,6 +365,65 @@ def test_cv_infinite_trials_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+POISSON_SPEC = """\
+[likelihood]
+family = poisson
+response = y
+offset = E
+
+[component intercept]
+kind = fixed
+covariates = 1
+
+[component class]
+kind = iid
+index = class
+precision = hyper:lp
+
+[hyper lp]
+mean = 0
+precision = 1e-4
+init = 0
+"""
+
+
+def poisson_files(tmp_path, counts, offset):
+    spec = tmp_path / "poisson.spec"
+    spec.write_text(POISSON_SPEC)
+    data = tmp_path / "poisson.csv"
+    write_data(str(data), {"y": counts, "E": offset,
+                           "class": np.arange(counts.size, dtype=float) % 4})
+    return str(spec), str(data)
+
+
+def test_cv_on_counts_up_to_1e6_scores_every_point(tmp_path, capsys):
+    """Counts up to 1e6 against offsets from 1e-3 to 1e3 fit and score, with
+    no warning from the trial points whose e^eta overflows."""
+    rng = np.random.default_rng(31)
+    counts = np.floor(10 ** rng.uniform(0.0, 6.0, size=16))
+    counts[[0, 5]] = [1e6, 0.0]
+    spec, data = poisson_files(tmp_path, counts, 10 ** rng.uniform(-3.0, 3.0, size=16))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["cv", "--model", spec, "--data", data, "--m", "1",
+                     "--out", str(tmp_path / "cv")]) == 0
+    summary = read_kv(tmp_path / "cv" / "cv_summary.txt")
+    assert np.isfinite(float(summary["u_lgocv"]))
+    assert summary["n_evaluated"] == "16" and summary["n_skipped"] == "0"
+
+
+def test_cv_on_counts_the_newton_search_cannot_fit_exits_2(tmp_path, capsys):
+    """Counts of 1e12 against offsets of 1e-3 put the mode past what 40
+    halvings of a Newton step reach: exit 2 with the search's message."""
+    counts = np.where(np.arange(16) % 2, 1e12, 0.0)
+    spec, data = poisson_files(tmp_path, counts, np.full(16, 1e-3))
+    assert main(["cv", "--model", spec, "--data", data,
+                 "--out", str(tmp_path / "cv")]) == 2
+    err = capsys.readouterr().err
+    assert "error: line search failed to make progress" in err
+    assert "Traceback" not in err
+
+
 def test_cv_nan_index_exits_2(tmp_path, capsys):
     spec, data = class_files(tmp_path)
     rows = Path(data).read_text().splitlines()

@@ -586,3 +586,19 @@ def test_invalid_arguments():
         build_groups(CorrelationSource("prior", ("nope",)), ga, m=1)
     with pytest.raises(IndexError):
         correlation_row(POSTERIOR, ga, 99)
+
+
+def test_quad_sums_each_row_as_the_broadcasting_product():
+    """``_quad`` sums each row's products in stored order, as scipy's
+    ``AJ.multiply(X.T).sum(axis=1)`` does: the variances are bitwise equal
+    for rows of 0 to 40 entries and columns of either memory order."""
+    rng = np.random.default_rng(41)
+    for trial in range(40):
+        k, p = rng.integers(1, 40), rng.integers(2, 50)
+        AJ = sp.random(k, p, density=rng.uniform(0.02, 0.9), random_state=rng,
+                       format="csr")
+        AJ.data = rng.normal(size=AJ.nnz) * 10 ** rng.uniform(-3, 3, size=AJ.nnz)
+        X = rng.normal(size=(p, k)) * 10 ** rng.uniform(-3, 3, size=(p, k))
+        X = np.asfortranarray(X) if trial % 2 else X
+        want = np.asarray(AJ.multiply(X.T).sum(axis=1)).ravel()
+        assert lgocv.groups._quad(AJ, X).tobytes() == want.tobytes()
