@@ -197,7 +197,8 @@ class GaussianApprox:
     Q_f = P_f + A' C A, the linearization (b, c) at the mode, and the
     precomputed constraint solves shared by every group.  ``n_iter`` and
     ``n_lu`` count the Newton iterations and sparse LU factorizations of the
-    fit.  Immutable once published; concurrent read-only use is safe.
+    fit.  Fields are immutable once published; the columns ``eta_covariance``
+    keeps on a fit are bitwise a fresh solve's, so concurrent use is safe.
     """
 
     def __init__(self, model, theta, lin, g, P, n_iter, n_lu):

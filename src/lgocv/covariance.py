@@ -6,6 +6,7 @@ posterior precision, with the constraint correction applied through the
 per-theta kriging workspace precomputed on the GaussianApprox.  Solves run
 in slabs of ``slab_width(p)`` right-hand sides, at most ``SLAB_BYTES`` of
 them, and each slab is reduced to its columns of Sigma before the next.
+A fit keeps the slabs of overlapping calls (see ``eta_covariance``).
 """
 
 from __future__ import annotations
@@ -41,11 +42,12 @@ def row_slabs(A):
 
 @dataclass(frozen=True)
 class EtaMoments:
-    """Mean and covariance of eta_I given (theta, y)."""
+    """Mean and covariance of eta_I given (theta, y); ``solved`` RHS columns."""
 
     indices: np.ndarray
     mu: np.ndarray
     sigma: np.ndarray
+    solved: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "indices", np.asarray(self.indices, dtype=int))
@@ -57,8 +59,12 @@ def eta_covariance(ga, I):
     Solves Q_f X = A_J' for each slab J of I reusing the stored
     factorization, corrects the solution columns for linear constraints, and
     reads off the slab's columns Sigma_IJ = A_I X.  No latent-size block of
-    all |I| columns is formed.  The result is symmetrized against solver
-    roundoff.
+    all |I| columns is formed within a call.  The result is symmetrized
+    against solver roundoff.  Once a call overlaps the previous one on the
+    same fit, as an m-sweep's unions do, the fit keeps its slabs and the next
+    call solves only the members they lack; a sweep so holds up to p x |I|
+    floats plus one slab between calls.  Columns do not depend on their
+    slab-mates, so kept and fresh ones are the same bits.
     """
     I = np.asarray(I, dtype=int)
     if I.size == 0:
@@ -68,7 +74,29 @@ def eta_covariance(ga, I):
     if np.unique(I).size != I.size:
         raise IndexError("index set contains duplicates")
     AI = ga.model.design[I]
-    cols = [AI @ ga.constrain(ga.solve(AJ.T.toarray())) for _, AJ in row_slabs(AI)]
-    sigma = cols[0] if len(cols) == 1 else np.hstack(cols)
+    last, kept = ga.__dict__.get("_eta_columns", (frozenset(), []))
+    members = frozenset(I.tolist())
+    keep = not last.isdisjoint(members)
+    order = np.argsort(I)
+    sigma = np.empty((I.size, I.size))
+    done = np.zeros(I.size, dtype=bool)
+    slabs = []                  # (member of each column or -1, constrained X)
+    for M, X in kept:
+        k = order[np.minimum(np.searchsorted(I[order], M), I.size - 1)]
+        hit = I[k] == M
+        if hit.any():
+            sigma[:, k[hit]] = AI @ (X if hit.all() else X[:, hit])
+            done[k[hit]] = True
+            slabs.append((np.where(hit, M, -1), X))
+    fresh = np.flatnonzero(~done)
+    for J, AJ in row_slabs(AI if fresh.size == I.size else AI[fresh]):
+        X = ga.constrain(ga.solve(AJ.T.toarray()))
+        sigma[:, fresh[J]] = AI @ X
+        if keep:
+            slabs.append((I[fresh[J]], X))
+    if sum((M < 0).sum() for M, _ in slabs) > slab_width(AI.shape[1]):
+        slabs = [(M, X) if M.min() >= 0 else (M[M >= 0], X[:, M >= 0])
+                 for M, X in slabs]
+    ga.__dict__["_eta_columns"] = (members, slabs)
     sigma = 0.5 * (sigma + sigma.T)
-    return EtaMoments(I, AI @ ga.mu, sigma)
+    return EtaMoments(I, AI @ ga.mu, sigma, fresh.size)

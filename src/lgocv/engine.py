@@ -3,9 +3,10 @@
 Per theta grid point, from the factorization kept on its GaussianApprox:
 the test observations' groups are deduplicated, and ``eta_covariance`` of
 each chunk of distinct groups (member union of at most ``RHS_BATCH``
-observations, solved in cache-sized slabs) gives the posterior moments of
-eta over the union, from which each group's moments are a sub-block.  One kernel call per group size
-removes the groups' likelihood contributions from the moments of eta_I (a
+observations, solved in cache-sized slabs, less the columns a fit kept from
+an overlapping union) gives the posterior moments of eta over the union,
+from which each group's moments are a sub-block.  One kernel call per group
+size removes the groups' likelihood contributions from the moments of eta_I (a
 precision downdate in the z-space of sigma_I's nonzero eigenpairs, for
 full-rank and rank-deficient groups alike) and the theta weight is
 corrected by a Laplace approximation of pi(y_I | theta, y_-I).  One
@@ -82,11 +83,9 @@ def _downdate_stack(mu, sigma, cI, bI):
     Qz = np.eye(s) - Bt @ (cI[..., None] * B)
     bz = mu_z - (Bt @ (bI - cI * mu_perp)[..., None])[..., 0]
 
-    w_min = np.linalg.eigvalsh(Qz)[:, 0]
-    ok = keep.any(axis=1) & ~(w_min < -NEG_PREC_TOL)
-    reasons = {int(j): "eta_I covariance is identically zero" if not keep[j].any()
-               else f"leave-out precision has eigenvalue {w_min[j]:.3e} "
-               "(scale 1.000e+00); observation skipped" for j in np.flatnonzero(~ok)}
+    ok = keep.any(axis=1)
+    reasons = {int(j): "eta_I covariance is identically zero"
+               for j in np.flatnonzero(~ok)}
     L = np.zeros_like(Qz) + np.eye(s)      # a failed group keeps a unit factor
     try:
         L[ok] = np.linalg.cholesky(Qz[ok])
@@ -95,7 +94,13 @@ def _downdate_stack(mu, sigma, cI, bI):
             try:
                 L[j] = np.linalg.cholesky(Qz[j])
             except np.linalg.LinAlgError as exc:
-                reasons[int(j)] = f"leave-out precision not positive definite: {exc}"
+                # c >= 0 keeps Qz's eigenvalues <= 1, so a Qz whose Cholesky
+                # succeeds has lambda_min >= -O(s eps) > -NEG_PREC_TOL
+                w = np.linalg.eigvalsh(Qz[j])[0]
+                reasons[int(j)] = (
+                    f"leave-out precision has eigenvalue {w:.3e} (scale 1.000e+00); "
+                    "observation skipped" if w < -NEG_PREC_TOL else
+                    f"leave-out precision not positive definite: {exc}")
                 ok[j] = False
 
     # L^{-1} [B' | bz]: B Qz^{-1} B' = W'W and B Qz^{-1} bz = W'y
@@ -321,6 +326,7 @@ class _ThetaScores:
     log_inner: np.ndarray     # per test observation; nan where skipped
     failures: dict            # test position -> reason
     rank_paths: Counter
+    solved: int               # RHS columns solved, not kept from an earlier call
 
 
 def _score_theta(model, ga, test, members, group_of, at, chunks, gh_order):
@@ -331,9 +337,10 @@ def _score_theta(model, ga, test, members, group_of, at, chunks, gh_order):
     loo_mu = np.zeros(offset[-1])
     loo_var = np.zeros(offset[-1])
     log_corr = np.full(len(members), np.nan)
-    reasons, paths = {}, Counter()
+    reasons, paths, solved = {}, Counter(), 0
     for ids, U, pos in chunks:
         em = eta_covariance(ga, U)
+        solved += em.solved
         sizes = np.array([members[g].size for g in ids])
         for s in np.unique(sizes):
             sel = np.flatnonzero(sizes == s)
@@ -365,7 +372,7 @@ def _score_theta(model, ga, test, members, group_of, at, chunks, gh_order):
     if score.any():
         log_inner[score] = gh_log_predictive(model, ga.theta, test[score],
                                              mean[score], var[score], gh_order)
-    return _ThetaScores(log_corr, log_inner, failures, paths)
+    return _ThetaScores(log_corr, log_inner, failures, paths, solved)
 
 
 def compute_lgocv(model, grid, groups, gas=None, test_indices=None,
@@ -423,10 +430,11 @@ def compute_lgocv(model, grid, groups, gas=None, test_indices=None,
     dens = np.einsum("kn,kn->n", w, np.exp(log_inner))
 
     paths = sum((s.rank_paths for s in per_theta), Counter())
+    solved = sum(s.solved for s in per_theta)
     log.debug("lgocv: %d theta points, %d test observations, %d distinct "
-              "groups, %d RHS columns, downdates full=%d eigen=%d, "
-              "%d skipped", len(gas), len(test), len(members),
-              len(gas) * sum(U.size for _, U, _ in chunks),
+              "groups, RHS columns solved=%d reused=%d, downdates full=%d "
+              "eigen=%d, %d skipped", len(gas), len(test), len(members), solved,
+              len(gas) * sum(U.size for _, U, _ in chunks) - solved,
               paths["full"], paths["eigen"], len(skipped))
 
     log_score = np.log(dens)

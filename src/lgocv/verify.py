@@ -73,6 +73,9 @@ def run_verification(cases=50, seed=0, tolerance=VERIFY_TOL):
         theta = model.hyper_point(np.zeros(0))
         ga = find_mode(model, theta)
         I = random_group(rng, model)
+        warm = np.union1d(I[:1], (I + 1) % model.n_obs)     # overlaps I
+        for _ in range(2):          # the second call keeps columns I reuses
+            eta_covariance(ga, warm)
         try:
             lgm = downdate(eta_covariance(ga, I), ga)
         except DowndateError:

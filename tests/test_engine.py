@@ -374,15 +374,20 @@ def test_array_quadrature_rejects_degenerate_variance():
 
 
 def test_debug_line_and_skipped_frac(multilevel_fit, caplog, tmp_path):
-    model, grid, gas, groups, test = multilevel_fit
+    """Fresh fits solve every column of the first two runs; the second run
+    overlaps the first, so the third reuses every column."""
+    model, grid, _, groups, test = multilevel_fit
+    gas = [find_mode(model, hp) for hp in grid.points]
     with caplog.at_level(logging.DEBUG, logger="lgocv.engine"):
-        res = compute_lgocv(model, grid, groups, gas=gas, test_indices=test)
+        for _ in range(3):
+            res = compute_lgocv(model, grid, groups, gas=gas, test_indices=test)
     lines = [r.getMessage() for r in caplog.records
              if r.getMessage().startswith("lgocv:")]
     K = len(gas)
     assert lines == [f"lgocv: {K} theta points, {len(test)} test observations, "
-                     f"10 distinct groups, {K * 100} RHS columns, downdates "
-                     f"full=0 eigen={10 * K}, 0 skipped"]
+                     f"10 distinct groups, RHS columns solved={solved} "
+                     f"reused={K * 100 - solved}, downdates full=0 "
+                     f"eigen={10 * K}, 0 skipped" for solved in (K * 100, K * 100, 0)]
     path = tmp_path / "summary.txt"
     res.write_summary(str(path))
     assert "skipped_frac = 0.0\n" in path.read_text()
@@ -674,3 +679,61 @@ def test_pipeline_leaves_no_cyclic_garbage(scenario, source, m):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_kernel_rejects_each_failing_group_with_its_reason(monkeypatch):
+    """One stack of four groups: a positive-definite one, a leave-out
+    precision with eigenvalue -1 (below -NEG_PREC_TOL), one with -1e-9 that
+    only the Cholesky rejects, and a zero covariance.  Eigenvalues are
+    computed only for the groups whose Cholesky failed, and the accepted
+    group's outputs are those of a stack of one."""
+    mu = np.array([[0.3, -0.2], [0.1, 0.4], [0.0, 0.0], [0.5, 0.5]])
+    sigma = np.array([[[1.0, 0.3], [0.3, 0.8]], np.eye(2), np.eye(2), np.zeros((2, 2))])
+    cI = np.array([[0.5, 0.2], [2.0, 0.1], [1.0 + 1e-9, 0.1], [0.7, 0.7]])
+    bI = np.array([[0.2, 0.1], [0.3, -0.1], [0.0, 0.0], [0.1, 0.2]])
+    eig = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: eig.append(a.shape) or eigvalsh(a))
+
+    one = engine._downdate_stack(mu[:1], sigma[:1], cI[:1], bI[:1])
+    assert one[4] == {} and eig == []
+    out = engine._downdate_stack(mu, sigma, cI, bI)
+    assert eig == [(2, 2), (2, 2)]
+    assert out[4] == {
+        1: "leave-out precision has eigenvalue -1.000e+00 (scale 1.000e+00); "
+           "observation skipped",
+        2: "leave-out precision not positive definite: Matrix is not positive definite",
+        3: "eta_I covariance is identically zero"}
+    assert np.isnan(out[2][1:]).all()
+    assert list(out[3]) == [True, True, True, False]
+    for a, b in zip(out[:4], one[:4]):
+        assert np.array_equal(a[:1], b)
+
+
+@pytest.mark.parametrize("make, name, ms", [
+    (lambda: ar1_scenario(200), "trend", range(1, 11)),
+    (lambda: besag_lattice(10), "spatial", (1, 2, 3, 5)),
+], ids=["ar1", "besag"])
+def test_m_sweep_solves_each_member_about_once(make, name, ms):
+    """CV over m on one set of fits equals CV on fresh fits per m, and the
+    fits solve |U_1| + |U_2| columns plus each later union's new members."""
+    model = make()
+    grid = build_theta_grid(model)
+    gas = fit_grid_approximations(model, grid)
+    solved = []
+    for ga in gas:
+        inner = ga._solve
+        ga._solve = lambda rhs, inner=inner: solved.append(rhs.shape[1]) or inner(rhs)
+    test = list(range(model.n_obs))[-40:]
+    source = CorrelationSource("prior", (name,))
+    bound, last = 0, None
+    for k, m in enumerate(ms):
+        spec = build_groups(source, gas[0], m=m, indices=test)
+        U = set(np.concatenate([spec[i] for i in test]).tolist())
+        bound += len(U) if k < 2 else len(U - last)
+        last = U
+        res = compute_lgocv(model, grid, spec, gas=gas, test_indices=test)
+        fresh = compute_lgocv(model, grid, spec, test_indices=test,
+                              gas=[find_mode(model, hp) for hp in grid.points])
+        assert not res.skipped and np.array_equal(res.density, fresh.density)
+    assert sum(solved) <= len(gas) * bound

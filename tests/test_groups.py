@@ -519,6 +519,7 @@ def test_slabs_match_one_slab_bitwise(case, monkeypatch):
         if width is not None:
             monkeypatch.setattr(lgocv.covariance, "SLAB_BYTES", 8 * p * width)
             assert lgocv.covariance.slab_width(p) == width
+        ga.__dict__.pop("_eta_columns", None)     # solve, not reuse, at width
         em = eta_covariance(ga, obs)
         if width is not None:
             monkeypatch.setattr(lgocv.covariance, "SLAB_BYTES", 8 * p_engine * width)
@@ -540,6 +541,53 @@ def test_slabs_match_one_slab_bitwise(case, monkeypatch):
         assert list(spec_w.groups) == list(spec.groups)
         for i in spec.groups:
             assert np.array_equal(spec_w[i], spec[i])
+
+
+@pytest.mark.parametrize("width", [None, 1, 3, 7])
+@pytest.mark.parametrize("case", SLAB_CASES)
+def test_warm_columns_equal_a_cold_solve(case, width, monkeypatch):
+    """eta_covariance on a fit that kept columns from earlier overlapping
+    calls is bitwise what a fresh fit gives: the same set unsorted, a
+    subset, a superset spanning several kept slabs, a disjoint set, and
+    sets reusing compacted slabs."""
+    make = SLAB_CASES[case][0]
+    warm = fitted(make())
+    p = warm.model.latent_size
+    if width is not None:
+        monkeypatch.setattr(lgocv.covariance, "SLAB_BYTES", 8 * p * width)
+    perm = np.random.default_rng(3).permutation(warm.model.n_obs)
+    calls = [(perm[:10], 10), (perm[9::-1], 10), (perm[2:7], 0), (perm[:16], 11),
+             (perm[16:21], 5), (perm[14:25], 11), (perm[16:20], 0), (perm[15:21], 2)]
+    for I, solved in calls:
+        em = eta_covariance(warm, I)
+        cold = eta_covariance(fitted(make()), I)
+        assert em.solved == solved and cold.solved == I.size
+        assert np.array_equal(em.mu, cold.mu)
+        assert np.array_equal(em.sigma, cold.sigma)
+
+
+def kept_bytes(ga):
+    return sum(X.nbytes for _, X in ga.__dict__["_eta_columns"][1])
+
+
+def test_kept_columns_stay_within_the_last_call_and_one_slab(monkeypatch):
+    model = ar1_scenario(200)
+    p = model.latent_size
+    ga = fitted(model)
+    eta_covariance(ga, np.arange(150, 200))
+    assert kept_bytes(ga) == 0                   # a single call keeps none
+    eta_covariance(ga, np.arange(100, 150))
+    assert kept_bytes(ga) == 0                   # nor do disjoint calls
+
+    monkeypatch.setattr(lgocv.covariance, "SLAB_BYTES", 8 * p * 5)
+    rng = np.random.default_rng(7)
+    pool = np.arange(60, 100)
+    I = pool[:30]
+    eta_covariance(ga, I)
+    for _ in range(12):                          # members come and go
+        I = rng.choice(pool, size=30, replace=False)
+        eta_covariance(ga, I)
+        assert 0 < kept_bytes(ga) <= 8 * p * (I.size + 5)
 
 
 def test_group_io_round_trip(tmp_path):
