@@ -6,8 +6,8 @@ each chunk of distinct groups (member union of at most ``RHS_BATCH``
 observations, solved in cache-sized slabs, less the columns a fit kept from
 an overlapping union) gives the posterior moments of eta over the union,
 from which each group's moments are a sub-block.  One kernel call per group
-size removes the groups' likelihood contributions from the moments of eta_I (a
-precision downdate in the z-space of sigma_I's nonzero eigenpairs, for
+size removes the groups' likelihood contributions from the moments of eta_I
+(one Cholesky of I - D sigma_I D per group, D = diag(sqrt(c_I)), for
 full-rank and rank-deficient groups alike) and the theta weight is
 corrected by a Laplace approximation of pi(y_I | theta, y_-I).  One
 batched adaptive Gauss-Hermite call then evaluates every test
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import functools
 import logging
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -32,8 +31,7 @@ from .approx import find_mode
 log = logging.getLogger(__name__)
 
 DEFAULT_GH_ORDER = 15
-RANK_TOL = 1e-10          # relative eigenvalue cutoff for the dropped eigenpairs
-NEG_PREC_TOL = 1e-8       # tolerance on the z-space leave-out precision eigenvalues
+NEG_PREC_TOL = 1e-8       # tolerance on the eigenvalues of I - D sigma_I D
 DEGENERATE_VARIANCE = "degenerate leave-out variance for quadrature"
 NON_FINITE_CORRECTION = "non-finite Laplace correction"
 
@@ -46,16 +44,13 @@ class DowndateError(RuntimeError):
 class LeaveGroupMoments:
     """Moments of eta_I with y_I removed, plus what the Laplace ratio needs.
 
-    The downdate runs in the z-space eta_I = mu_perp + B z of sigma_I's
-    nonzero eigenpairs, B = V diag(sqrt(lambda)); ``rank_path`` is "full"
-    when no eigenpair was dropped, "eigen" otherwise.  ``log_ratio`` is
-    log piG(eta*_I | y_-I) - log piG(eta*_I | y) at the full-data mean.
+    ``log_ratio`` is log piG(eta*_I | y_-I) - log piG(eta*_I | y) at the
+    full-data mean; ``sigma`` may be singular, as sigma_I may be.
     """
 
     indices: np.ndarray
     mu: np.ndarray
     sigma: np.ndarray
-    rank_path: str
     log_ratio: float
 
 
@@ -63,73 +58,67 @@ def _downdate_stack(mu, sigma, cI, bI):
     """Downdate a stack of k groups of s members each at once.
 
     ``mu`` is (k, s), ``sigma`` (k, s, s), and ``cI``, ``bI`` (k, s) are the
-    groups' curvature and linearization.  A dropped eigenpair is a zero
-    column of B and a zero entry of mu_z, so it gives Qz = I and bz = 0 in
-    that dimension and adds 0 to ``log_ratio``; groups of different rank
-    share the stack.  Returns the leave-out ``mu`` and ``sigma``,
-    ``log_ratio``, whether each group kept full rank, and {row: reason} for
-    the groups that failed, whose ``log_ratio`` is nan.
+    groups' curvature and linearization.  With D = diag(sqrt(c_I)) and
+    M = I - D sigma D = L L', the push-through form of the Woodbury identity
+    gives (sigma^-1 - C_I)^-1 = sigma + G'G, G = L^-1 D sigma, and
+    det(I - sigma C_I) = det M, for sigma of any rank; groups of different
+    rank share the stack.  Returns the leave-out ``mu`` and ``sigma``,
+    ``log_ratio``, and {row: reason} for the groups that failed, whose
+    ``log_ratio`` is nan.
     """
-    s = mu.shape[1]
-    w, V = np.linalg.eigh(sigma)
-    keep = w > RANK_TOL * np.maximum(w[:, -1:], 0.0)    # none iff sigma_I = 0
-    lam = np.sqrt(np.where(keep, w, 0.0))
-    B = V * lam[:, None, :]                # eta = mu_perp + B z, z ~ N(mu_z, I)
-    Bt = B.transpose(0, 2, 1)
-    Vk = V * keep[:, None, :]
-    proj = (Vk.transpose(0, 2, 1) @ mu[..., None])[..., 0]
-    mu_z = np.divide(proj, lam, out=np.zeros_like(proj), where=keep)
-    mu_perp = mu - (Vk @ proj[..., None])[..., 0]
-    Qz = np.eye(s) - Bt @ (cI[..., None] * B)
-    bz = mu_z - (Bt @ (bI - cI * mu_perp)[..., None])[..., 0]
+    k, s = mu.shape
+    d = np.sqrt(cI)
+    DS = d[..., None] * sigma
+    M = np.eye(s) - DS * d[:, None, :]
+    v = bI - cI * mu                       # mu_minus = mu - Sigma_minus v
+    w = (sigma @ v[..., None])[..., 0]
 
-    ok = keep.any(axis=1)
+    ok = sigma.reshape(k, -1).any(axis=1)
     reasons = {int(j): "eta_I covariance is identically zero"
                for j in np.flatnonzero(~ok)}
-    L = np.zeros_like(Qz) + np.eye(s)      # a failed group keeps a unit factor
-    try:
-        L[ok] = np.linalg.cholesky(Qz[ok])
+    try:                                   # M = I where sigma_I = 0
+        L = np.linalg.cholesky(M)
     except np.linalg.LinAlgError:         # one group failed the whole stack
+        L = np.zeros_like(M) + np.eye(s)   # a failed group keeps a unit factor
         for j in np.flatnonzero(ok):
             try:
-                L[j] = np.linalg.cholesky(Qz[j])
+                L[j] = np.linalg.cholesky(M[j])
             except np.linalg.LinAlgError as exc:
-                # c >= 0 keeps Qz's eigenvalues <= 1, so a Qz whose Cholesky
+                # c >= 0 keeps M's eigenvalues <= 1, so an M whose Cholesky
                 # succeeds has lambda_min >= -O(s eps) > -NEG_PREC_TOL
-                w = np.linalg.eigvalsh(Qz[j])[0]
+                e = np.linalg.eigvalsh(M[j])[0]
                 reasons[int(j)] = (
-                    f"leave-out precision has eigenvalue {w:.3e} (scale 1.000e+00); "
-                    "observation skipped" if w < -NEG_PREC_TOL else
+                    f"leave-out precision has eigenvalue {e:.3e} (scale 1.000e+00); "
+                    "observation skipped" if e < -NEG_PREC_TOL else
                     f"leave-out precision not positive definite: {exc}")
                 ok[j] = False
 
-    # L^{-1} [B' | bz]: B Qz^{-1} B' = W'W and B Qz^{-1} bz = W'y
-    X = np.linalg.solve(L, np.concatenate([Bt, bz[..., None]], axis=2))
-    Wt, y = X[..., :s].transpose(0, 2, 1), X[..., s:]
-    sigma_minus = Wt @ Wt.transpose(0, 2, 1)
-    # log_ratio = -0.5 (logdet Sigma_z + r' Qz r), r = mu_z - Qz^{-1} bz
-    t = (L.transpose(0, 2, 1) @ mu_z[..., None] - y)[..., 0]
+    # [G | h] = L^{-1} D [sigma | w];  G'[G | h] = [Sigma_minus - sigma | G'h]
+    X = np.linalg.solve(L, np.concatenate([DS, (d * w)[..., None]], axis=2))
+    Y = X[..., :s].transpose(0, 2, 1) @ X
+    sigma_minus = sigma + Y[..., :s]
+    # log_ratio = 0.5 logdet M - 0.5 v' Sigma_minus v
     log_ratio = np.where(ok, np.log(np.diagonal(L, axis1=1, axis2=2)).sum(axis=1)
-                         - 0.5 * np.sum(t * t, axis=1), np.nan)
-    return (mu_perp + (Wt @ y)[..., 0],
+                         - 0.5 * (np.sum(v * w, axis=1)
+                                  + np.sum(X[..., s] ** 2, axis=1)), np.nan)
+    return (mu - (w + Y[..., s]),
             0.5 * (sigma_minus + sigma_minus.transpose(0, 2, 1)),
-            log_ratio, keep.all(axis=1), reasons)
+            log_ratio, reasons)
 
 
 def downdate(em, ga, I=None):
     """Remove the group's likelihood information from the eta_I moments.
 
-    The z-space kernel on a stack of one (``compute_lgocv`` stacks every
-    group of one size): with eta_I = mu_perp + B z over sigma_I's nonzero
-    eigenpairs, the leave-out precision of z is I - B'C_I B.
+    The kernel on a stack of one (``compute_lgocv`` stacks every group of
+    one size): the leave-out covariance is sigma_I + G'G, G = L^-1 D sigma_I,
+    from the Cholesky L L' = I - D sigma_I D, D = diag(sqrt(c_I)).
     """
     I = em.indices if I is None else np.asarray(I, dtype=int)
-    mu, sigma, log_ratio, full, reasons = _downdate_stack(
+    mu, sigma, log_ratio, reasons = _downdate_stack(
         em.mu[None], em.sigma[None], ga.c[I][None], ga.b[I][None])
     if reasons:
         raise DowndateError(reasons[0])
-    return LeaveGroupMoments(I, mu[0], sigma[0], "full" if full[0] else "eigen",
-                             float(log_ratio[0]))
+    return LeaveGroupMoments(I, mu[0], sigma[0], float(log_ratio[0]))
 
 
 def theta_correction(lgm, em, ga, I=None):
@@ -325,7 +314,6 @@ class _ThetaScores:
     log_corr: np.ndarray      # per distinct group; nan where it failed
     log_inner: np.ndarray     # per test observation; nan where skipped
     failures: dict            # test position -> reason
-    rank_paths: Counter
     solved: int               # RHS columns solved, not kept from an earlier call
 
 
@@ -337,7 +325,7 @@ def _score_theta(model, ga, test, members, group_of, at, chunks, gh_order):
     loo_mu = np.zeros(offset[-1])
     loo_var = np.zeros(offset[-1])
     log_corr = np.full(len(members), np.nan)
-    reasons, paths, solved = {}, Counter(), 0
+    reasons, solved = {}, 0
     for ids, U, pos in chunks:
         em = eta_covariance(ga, U)
         solved += em.solved
@@ -347,14 +335,13 @@ def _score_theta(model, ga, test, members, group_of, at, chunks, gh_order):
             gs = np.asarray(ids)[sel]
             P = np.array([pos[j] for j in sel])            # (k, s) in U
             G = U[P]                                       # (k, s) observations
-            mu, sigma, log_ratio, full, why = _downdate_stack(
+            mu, sigma, log_ratio, why = _downdate_stack(
                 em.mu[P], em.sigma[P[:, :, None], P[:, None, :]], ga.c[G], ga.b[G])
             corr = ga.g[G].sum(axis=1) + log_ratio
             done = np.isfinite(corr)
             for j in np.flatnonzero(~done):
                 reasons[gs[j]] = why.get(j, NON_FINITE_CORRECTION)
             log_corr[gs[done]] = corr[done]
-            paths.update(full=int(full[done].sum()), eigen=int((~full[done]).sum()))
             flat = offset[gs[done]][:, None] + np.arange(s)
             loo_mu[flat] = mu[done]
             loo_var[flat] = np.diagonal(sigma[done], axis1=1, axis2=2)
@@ -372,7 +359,7 @@ def _score_theta(model, ga, test, members, group_of, at, chunks, gh_order):
     if score.any():
         log_inner[score] = gh_log_predictive(model, ga.theta, test[score],
                                              mean[score], var[score], gh_order)
-    return _ThetaScores(log_corr, log_inner, failures, paths, solved)
+    return _ThetaScores(log_corr, log_inner, failures, solved)
 
 
 def compute_lgocv(model, grid, groups, gas=None, test_indices=None,
@@ -382,10 +369,13 @@ def compute_lgocv(model, grid, groups, gas=None, test_indices=None,
     Works one theta point at a time.  The test observations' groups are
     deduplicated; per chunk of distinct groups whose member union spans at
     most ``RHS_BATCH`` observations, ``eta_covariance`` gives the moments
-    of eta_U, and each group's moments are its sub-block.  The downdate and
-    the theta correction then run once per chunk and group size, and one
-    batched Gauss-Hermite call scores every test observation.  ``threads``
-    runs theta points in parallel.
+    of eta_U, and each group's moments are its sub-block.  The downdate (one
+    stacked Cholesky, whatever the groups' ranks) and the theta correction
+    then run once per chunk and group size, and one batched Gauss-Hermite
+    call scores every test observation.  ``threads`` runs theta points in
+    parallel.  A debug record counts the theta points, test observations,
+    distinct groups, RHS columns solved and reused, successful downdates
+    and skips.
 
     An observation whose group cannot be downdated, or whose leave-out
     variance is degenerate, at some theta point is skipped with the first
@@ -429,13 +419,13 @@ def compute_lgocv(model, grid, groups, gas=None, test_indices=None,
     w /= w.sum(axis=0)
     dens = np.einsum("kn,kn->n", w, np.exp(log_inner))
 
-    paths = sum((s.rank_paths for s in per_theta), Counter())
     solved = sum(s.solved for s in per_theta)
     log.debug("lgocv: %d theta points, %d test observations, %d distinct "
-              "groups, RHS columns solved=%d reused=%d, downdates full=%d "
-              "eigen=%d, %d skipped", len(gas), len(test), len(members), solved,
+              "groups, RHS columns solved=%d reused=%d, downdates=%d, "
+              "%d skipped", len(gas), len(test), len(members), solved,
               len(gas) * sum(U.size for _, U, _ in chunks) - solved,
-              paths["full"], paths["eigen"], len(skipped))
+              sum(int(np.isfinite(s.log_corr).sum()) for s in per_theta),
+              len(skipped))
 
     log_score = np.log(dens)
     utility = float(np.mean(log_score)) if len(dens) else float("nan")
