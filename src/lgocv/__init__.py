@@ -12,8 +12,8 @@ from .approx import (find_mode, log_evidence, build_theta_grid,
                      GaussianApprox, ThetaGrid, ModeFindingError,
                      FactorizationError)
 from .covariance import EtaMoments, eta_covariance
-from .groups import (CorrelationSource, GroupSpec, correlation_row,
-                     build_groups, singleton_groups, read_groups, write_groups)
+from .groups import (CorrelationSource, GroupSpec, build_groups,
+                     singleton_groups, read_groups, write_groups)
 from .engine import (LeaveGroupMoments, LgocvResult, downdate,
                      theta_correction, compute_lgocv, compute_loocv,
                      fit_grid_approximations, DowndateError)

@@ -80,6 +80,18 @@ def _unique(codes):
     return ranked[first], inverse
 
 
+def _pairs(indptr):
+    """(segment, entry a, entry b) for every ordered pair of stored entries
+    within each segment of a compressed index pointer: segments ascending,
+    a-major within one."""
+    k = np.diff(indptr)
+    sq = k * k
+    seg = np.repeat(np.arange(k.size), sq)
+    t = np.arange(sq.sum()) - np.repeat(np.cumsum(sq) - sq, sq)
+    start, width = indptr[:-1][seg], k[seg]
+    return seg, start + t // width, start + t % width
+
+
 class _DesignTerms:
     """Every product a_ij c_i a_ik of A' diag(c) A, for one CSR design A.
 
@@ -90,14 +102,8 @@ class _DesignTerms:
     """
 
     def __init__(self, A):
-        n, self.p = A.shape
-        k = np.diff(A.indptr)
-        pairs = k * k
-        start = np.repeat(A.indptr[:-1], pairs)
-        width = np.repeat(k, pairs)
-        t = np.arange(pairs.sum()) - np.repeat(np.cumsum(pairs) - pairs, pairs)
-        first, second = start + t // width, start + t % width
-        self.rows = np.repeat(np.arange(n), pairs)
+        self.p = A.shape[1]
+        self.rows, first, second = _pairs(A.indptr)
         self.a_j, self.a_k = A.data[first], A.data[second]
         codes = A.indices[second].astype(np.int64) * self.p + A.indices[first]
         self.codes, self.inverse = _unique(codes)

@@ -4,8 +4,9 @@ The posterior covariance of eta_I is never assembled for all observations:
 each requested column comes from a sparse solve against the factorized
 posterior precision, with the constraint correction applied through the
 per-theta kriging workspace precomputed on the GaussianApprox.  Solves run
-in slabs of ``slab_width(p)`` right-hand sides, at most ``SLAB_BYTES`` of
-them, and each slab is reduced to its columns of Sigma before the next.
+in slabs of ``slab_width(p)`` right-hand sides, ``SLAB_BYTES`` of them but
+no fewer than ``SLAB_MIN``, and each slab is reduced to its columns of Sigma
+before the next.
 A fit keeps the slabs of overlapping calls (see ``eta_covariance``).
 """
 
@@ -21,13 +22,16 @@ RHS_BATCH = 512     # rows per kept correlation block, columns per CV chunk
 # solved.  Solve time per column against columns per call, one BLAS thread:
 # at p = 2001 (AR(1)) 29 us at 32-64 columns but 63 us at 512, whose 8 MB
 # block leaves the cache; at p = 401 (20 x 20 Besag) 20-23 us from 32 to
-# 512 columns.  The width never changes an answer.
+# 512 columns.  Below about 32 columns a solve costs more per column again
+# (70 x 70 bordered Besag K, p = 4901: 2093, 1653 and 1563 us at 8, 16 and
+# 32), hence a floor of SLAB_MIN columns.  The width never changes an answer.
 SLAB_BYTES = 512 * 1024
+SLAB_MIN = 32
 
 
 def slab_width(p):
     """Right-hand sides of length p per solve."""
-    return max(1, SLAB_BYTES // (8 * p))
+    return max(SLAB_MIN, SLAB_BYTES // (8 * p))
 
 
 def row_slabs(A):

@@ -6,13 +6,17 @@ hyperparameter mode.  Correlations come either from the posterior precision
 Q_f or from a principal submatrix P of the prior precision (conditioning on
 the unselected effects).  One sparse engine serves both; an intrinsic P is
 bordered with a basis of its null space, which gives P^+ without forming
-it.  No dense covariance or full correlation matrix is formed: the
-marginal variances and the rows come from solves in slabs of
-``covariance.slab_width`` columns, each reduced as soon as it is solved.
-Rows come in blocks of at most ``RHS_BATCH`` observations, written slab by
-slab into the block, and only the top-m level sets of each row are
-located.  An engine keeps its last block, so a sweep over m on the same
-rows solves them once.
+it.  No dense covariance or full correlation matrix is formed: the rows
+come from solves in slabs of ``covariance.slab_width`` columns, each
+reduced as soon as it is solved.  The marginal variances of a prior engine
+come from a selected inversion of its LU (Takahashi recursions) when
+SuperLU pivoted on the diagonal and the factor's pattern holds every pair
+of effects a design row reads; otherwise, and for the posterior, from
+solving every unit column in slabs.  Rows come in blocks of at most
+``RHS_BATCH`` observations, written slab by slab into the block, and only
+the top-m level sets of each row are located.  An engine keeps its last
+block and each row's descending order, so a sweep over m on the same rows
+solves and sorts them once.
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor
+from scipy.linalg import cho_factor, cho_solve
 
-from .approx import _splu, kriging
+from .approx import _pairs, _splu, kriging
 from .covariance import RHS_BATCH, row_slabs
 
 log = logging.getLogger(__name__)
@@ -83,19 +87,28 @@ def _quad(AJ, X):
 
 
 class _SparseCorrEngine:
-    """Correlation rows via solves against a factorized precision."""
+    """Correlation rows via solves against a factorized precision.
 
-    def __init__(self, A, solve, constrain):
+    ``variances`` = (free, var), the unconstrained and constrained diagonals
+    of A Sigma A', if already known; without it they come from solving every
+    unit column of A'.
+    """
+
+    def __init__(self, A, solve, constrain, variances=None):
         self.A = sp.csr_matrix(A)
         self._solve = solve
         self._constrain = constrain
-        self._last = None           # (indices, rows) of the last block
-        n = self.A.shape[0]
-        var, free = np.empty(n), np.empty(n)
-        for J, AJ in row_slabs(self.A):
-            x = self._solve(AJ.T.toarray())
-            free[J] = _quad(AJ, x)
-            var[J] = _quad(AJ, self._constrain(x))
+        self._last = None           # (indices, rows, descending orders)
+        self.variances = "solved" if variances is None else "selected"
+        if variances is None:
+            n = self.A.shape[0]
+            free, var = np.empty(n), np.empty(n)
+            for J, AJ in row_slabs(self.A):
+                x = self._solve(AJ.T.toarray())
+                free[J] = _quad(AJ, x)
+                var[J] = _quad(AJ, self._constrain(x))
+        else:
+            free, var = variances
         # kriging leaves a fully constrained eta_i a roundoff residue of its
         # unconstrained variance
         if np.any(var <= _ROUNDOFF * free):
@@ -116,9 +129,85 @@ class _SparseCorrEngine:
                       out=block[J])
         block[np.arange(idx.size), idx] = 1.0
         np.minimum(block, 1.0, out=block)
-        block.flags.writeable = False
-        self._last = (idx, block)
+        order = np.empty(block.shape, dtype=np.int32)
+        for k, r in enumerate(block):
+            order[k] = np.argsort(-r, kind="stable")
+        block.flags.writeable = order.flags.writeable = False
+        self._last = (idx, block, order)
         return block
+
+    def orders(self, idx):
+        """Each row of ``rows(idx)`` argsorted descending, kept with it."""
+        self.rows(idx)
+        return self._last[2]
+
+
+def _selected_variances(lu, A):
+    """diag(A K^-1 A') from the factor L U = Pi K Pi' alone, or None.
+
+    A selected inversion (Erisman & Tinney 1975): with U = D U~, Z = (L U)^-1
+    on the pattern of L + U comes column by column from the last, k over the
+    below-diagonal entries of column j,
+
+        Z_ij = -sum_k Z_ik L_kj,  Z_ji = -sum_k U~_jk Z_ki   (i > j),
+        Z_jj = 1/d_j - sum_k U~_jk Z_kj.
+
+    Needs pivots on the diagonal (perm_r == perm_c) and every pair a column
+    or a row of A (K's first columns) reads inside the pattern; None when
+    SuperLU pivoted off it or a pair falls outside.
+    """
+    perm = lu.perm_c
+    if not np.array_equal(lu.perm_r, perm):
+        return None
+    L, U = lu.L.tocoo(), lu.U.tocoo()
+    N = perm.size
+    d = U.diagonal()
+    # the strictly lower pattern of L + U', column-major; L_ij at l, U~_ji at u
+    below, above = L.row > L.col, U.col > U.row
+    lkey = L.col[below].astype(np.int64) * N + L.row[below]
+    ukey = U.row[above].astype(np.int64) * N + U.col[above]
+    keys = np.union1d(lkey, ukey)
+    E = keys.size
+    l, u = np.zeros(E), np.zeros(E)
+    l[np.searchsorted(keys, lkey)] = L.data[below]
+    u[np.searchsorted(keys, ukey)] = U.data[above] / d[U.row[above]]
+    col, row = np.divmod(keys, N)
+    ptr = np.searchsorted(col, np.arange(N + 1))
+    keys = np.append(keys, N * N)       # a sentinel past every key
+
+    def locate(i, j):
+        """Slots of Z_ij in z = [diagonal | lower entries | upper entries]."""
+        key = np.minimum(i, j) * N + np.maximum(i, j)
+        e = np.searchsorted(keys, key)
+        inside = (i == j) | (keys[e] == key)
+        return np.where(i == j, i, N + e + E * (i < j)), inside.all()
+
+    _, a, b = _pairs(ptr)
+    zp, inside = locate(row[a], row[b])
+    zt, _ = locate(row[b], row[a])
+    A = sp.csr_matrix(A)
+    obs, a, b = _pairs(A.indptr)
+    zq, covered = locate(perm[A.indices[a]], perm[A.indices[b]])
+    if not (inside and covered):
+        return None
+    starts = np.concatenate(([0], np.cumsum(np.diff(ptr) ** 2)))   # column j's pairs
+    z = [0.0] * (N + 2 * E)
+    zp, zt, ptr, starts, l, u, d = (x.tolist() for x in (zp, zt, ptr, starts, l, u, d))
+    NE = N + E
+    for j in range(N - 1, -1, -1):
+        e0, e1, q = ptr[j], ptr[j + 1], starts[j]
+        zjj = 1.0 / d[j]
+        for i in range(e0, e1):
+            lower = upper = 0.0
+            for k in range(e0, e1):
+                lower -= z[zp[q]] * l[k]        # Z_{r_i r_k} L_{r_k j}
+                upper -= u[k] * z[zt[q]]        # U~_{j r_k} Z_{r_k r_i}
+                q += 1
+            z[N + i], z[NE + i] = lower, upper
+            zjj -= u[i] * lower
+        z[j] = zjj
+    z = np.array(z)
+    return np.bincount(obs, weights=A.data[a] * A.data[b] * z[zq], minlength=A.shape[0])
 
 
 def _selected_components(model, subset):
@@ -177,8 +266,22 @@ def _make_engine(source, ga):
     W = solve(C.T)
     keep = np.einsum("ij,ji->i", C, W) > _ROUNDOFF * max(np.abs(W).max(initial=0.0), 1.0)
     C, W = C[keep], W[:, keep]
-    return _SparseCorrEngine(A_sel, solve,
-                             kriging(C, W, cho_factor(C @ W) if keep.any() else None))
+    cho = cho_factor(C @ W) if keep.any() else None
+    return _SparseCorrEngine(A_sel, solve, kriging(C, W, cho),
+                             _prior_variances(lu, A_sel, W, cho))
+
+
+def _prior_variances(lu, A, W, cho):
+    """(free, var): diag(A Sigma A') by selected inversion, and with the
+    constraints var_i = free_i - (a_i W) (C W)^-1 (a_i W)'; None where the
+    factor does not serve (see ``_selected_variances``)."""
+    free = _selected_variances(lu, A)
+    if free is None:
+        return None
+    if cho is None:
+        return free, free
+    AW = A @ W
+    return free, free - np.einsum("ij,ji->i", AW, cho_solve(cho, AW.T))
 
 
 def _engine_for(source, ga):
@@ -188,45 +291,40 @@ def _engine_for(source, ga):
     return cache[source]
 
 
-def correlation_row(source, ga, i):
-    """|corr(eta_i, eta_j)| for all j, with exact 1 at j = i (read-only)."""
-    if not 0 <= i < ga.model.n_obs:
-        raise IndexError(f"observation index {i} out of range")
-    return _engine_for(source, ga).rows([i])[0]
-
-
-def level_set_partition(r, tie_tol, m=None):
+def level_set_partition(r, tie_tol, m=None, order=None):
     """Sort |correlations| descending and split into near-tie runs.
 
     Returns (order, ends): ``order`` is the descending index permutation
-    (ties broken by observation index) and ``ends`` the exclusive end offset
-    of each level set within ``order``; with ``m`` only the first m sets.
-    A set ends at the first value more than ``tie_tol`` (relative) below
-    its leading value.  The first ``_HEAD`` sorted values are walked one at
-    a time; past them one vectorized comparison finds a set's end.
+    (ties broken by observation index), given or sorted here, and ``ends``
+    the exclusive end offset of each level set within ``order``; with ``m``
+    only the first m sets.  A set ends at the first value more than
+    ``tie_tol`` (relative) below its leading value.  The first ``_HEAD``
+    sorted values are walked one at a time; past them one vectorized
+    comparison finds a set's end.
     """
-    order = np.argsort(-r, kind="stable")
-    vals = r[order]
-    head = vals[:_HEAD].tolist()
-    n, h = vals.size, len(head)
+    if order is None:
+        order = np.argsort(-r, kind="stable")
+    head = r[order[:_HEAD]].tolist()
+    n, h = r.size, len(head)
     ends, k = [], 0
     while k < n and (m is None or len(ends) < m):
-        ref = head[k] if k < h else vals[k]
+        ref = head[k] if k < h else r[order[k]]
         tol = tie_tol * max(ref, _TINY)
         k += 1
         while k < h and ref - head[k] <= tol:
             k += 1
         if h <= k < n:
-            tied = ref - vals[k:] <= tol
+            tied = ref - r[order[k:]] <= tol
             k = n if tied.all() else k + int(np.argmin(tied))
         ends.append(k)
     return order, ends
 
 
-def group_from_row(r, m, tie_tol):
-    """Union of the top-m level sets of one absolute-correlation row."""
-    order, ends = level_set_partition(r, tie_tol, m)
-    return np.sort(order[:ends[-1]])
+def group_from_row(r, m, tie_tol, order=None):
+    """Union of the top-m level sets of one absolute-correlation row, whose
+    descending ``order`` may be given."""
+    order, ends = level_set_partition(r, tie_tol, m, order)
+    return np.sort(order[:ends[-1]]).astype(np.intp, copy=False)
 
 
 def build_groups(source, ga, m, tie_tol=1e-8, indices=None):
@@ -234,18 +332,22 @@ def build_groups(source, ga, m, tie_tol=1e-8, indices=None):
     if m < 1:
         raise GroupingError("level-set count m must be >= 1")
     n = ga.model.n_obs
-    engine = _engine_for(source, ga)
     idx = np.arange(n) if indices is None else np.asarray(indices, dtype=int)
+    if idx.size and not (0 <= idx.min() and idx.max() < n):
+        raise IndexError(f"observation index out of range [0, {n})")
+    engine = _engine_for(source, ga)
     groups = {}
     starts = range(0, idx.size, RHS_BATCH)
     for start in starts:
         block = idx[start:start + RHS_BATCH]
-        for i, r in zip(block, engine.rows(block)):
-            groups[int(i)] = group_from_row(r, m, tie_tol)
+        rows, orders = engine.rows(block), engine.orders(block)
+        for i, r, order in zip(block, rows, orders):
+            groups[int(i)] = group_from_row(r, m, tie_tol, order)
     sizes = [g.size for g in groups.values()]
-    log.debug("build_groups: m=%d, %d rows in %d RHS blocks, group size "
-              "mean %.3f max %d", m, idx.size, len(starts),
-              np.mean(sizes) if sizes else 0.0, max(sizes, default=0))
+    log.debug("build_groups: m=%d, %d rows in %d RHS blocks, variances=%s, "
+              "group size mean %.3f max %d", m, idx.size, len(starts),
+              engine.variances, np.mean(sizes) if sizes else 0.0,
+              max(sizes, default=0))
     return GroupSpec(groups)
 
 

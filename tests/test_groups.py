@@ -18,9 +18,8 @@ from lgocv.approx import find_mode, kriging
 from lgocv.covariance import eta_covariance
 from lgocv.components import Ar1, Besag, FixedEffects, Iid, Rw1, Rw2
 from lgocv.groups import (CorrelationSource, GroupingError, build_groups,
-                          correlation_row, group_from_row,
-                          level_set_partition, read_groups, singleton_groups,
-                          write_groups)
+                          group_from_row, level_set_partition, read_groups,
+                          singleton_groups, write_groups)
 from lgocv.likelihoods import Gaussian, Poisson
 from lgocv.model import LgmModel
 
@@ -70,7 +69,7 @@ def test_prior_subset_row_is_exact_ar1_correlation():
     model = ar1_model(n=25, rho=rho)
     src = CorrelationSource("prior", ("trend",))
     ga = fitted(model)
-    r = correlation_row(src, ga, 12)
+    r = lgocv.groups._engine_for(src, ga).rows([12])[0]
     expected = rho ** np.abs(np.arange(25) - 12)
     assert np.max(np.abs(r - expected)) <= 1e-10
 
@@ -255,7 +254,8 @@ def test_blocked_rows_match_single_rows(model, source, monkeypatch, caplog):
             spec = build_groups(source, ga, m=m, indices=test)
         assert list(spec.groups) == [int(i) for i in test]
         for i in test:
-            expected = group_from_row(correlation_row(source, ga, i), m, 1e-8)
+            row = lgocv.groups._engine_for(source, ga).rows([i])[0]
+            expected = group_from_row(row, m, 1e-8)
             assert np.array_equal(spec[i], expected)
     assert "11 rows in 4 RHS blocks" in caplog.text
 
@@ -378,7 +378,8 @@ EQUIVALENCE_MODELS = {
 
 def assert_matches_reference(source, ga):
     ref = reference_prior_correlation(source, ga)
-    rows = np.array([correlation_row(source, ga, i) for i in range(ga.model.n_obs)])
+    engine = lgocv.groups._engine_for(source, ga)
+    rows = np.array([engine.rows([i])[0] for i in range(ga.model.n_obs)])
     assert np.max(np.abs(rows - ref)) <= 1e-10
     for m in (1, 2, 3, 5):
         spec = build_groups(source, ga, m=m)
@@ -404,13 +405,13 @@ def test_null_space_constraint_rows_are_skipped():
                               (after_intercept(np.arange(50.0)), [0.0])))
     assert trend.model.constraints[0].shape[0] == 2
     for i in (0, 17, 49):
-        assert np.array_equal(correlation_row(source, trend, i),
-                              correlation_row(source, plain, i))
+        assert np.array_equal(lgocv.groups._engine_for(source, trend).rows([i]),
+                              lgocv.groups._engine_for(source, plain).rows([i]))
 
 
 def test_proper_prior_with_constraint_keeps_its_sparse_path():
     """AR(1) plus a sum row: no border, and the row is kriged exactly as by
-    a plain LU of the prior precision."""
+    a plain LU of the prior precision, given the same selected variances."""
     model = ar1_model(n=20, rho=0.8,
                       extra_constraints=(after_intercept(np.ones(20)), [0.0]))
     source = CorrelationSource("prior", ("trend",))
@@ -421,13 +422,104 @@ def test_proper_prior_with_constraint_keeps_its_sparse_path():
     W = lu.solve(C.T)
     cho = cho_factor(C @ W)
     plain = lgocv.groups._SparseCorrEngine(
-        model.design[:, cols], lu.solve, kriging(C, W, cho))
+        model.design[:, cols], lu.solve, kriging(C, W, cho),
+        lgocv.groups._prior_variances(lu, model.design[:, cols], W, cho))
     idx = np.arange(model.n_obs)
-    rows = lgocv.groups._engine_for(source, ga).rows(idx)
+    engine = lgocv.groups._engine_for(source, ga)
+    assert engine.variances == plain.variances == "selected"
+    rows = engine.rows(idx)
     assert np.array_equal(rows, plain.rows(idx))
     assert not np.array_equal(
         rows, lgocv.groups._SparseCorrEngine(model.design[:, cols], lu.solve,
                                              lambda x: x).rows(idx))
+
+
+def iid_subset_model(n=30):
+    """Intercept plus an iid effect observed twice per level."""
+    A = sp.hstack([sp.csr_matrix(np.ones((2 * n, 1))),
+                   sp.vstack([sp.identity(n), sp.identity(n)])], format="csr")
+    return LgmModel([FixedEffects("intercept", 1, prec=1.0), Iid("u", n, log_prec=0.5)],
+                    A, Gaussian(precision=5.0), np.cos(np.arange(2.0 * n)))
+
+
+def ar1_neighbour_means(n=40):
+    """AR(1) seen through the mean of two neighbouring steps, so that each
+    row reads an off-diagonal entry of the prior covariance."""
+    A = sp.diags([np.full(n, 0.5), np.full(n - 1, 0.5)], [0, 1], format="csr")
+    return LgmModel([Ar1("trend", n, log_prec=1.0, rho=0.8)], A,
+                    Gaussian(precision=5.0), np.sin(np.linspace(0, 3, n)))
+
+
+SELECTED_CASES = {
+    "ar1-20": (lambda: ar1_scenario(20), "trend"),
+    "ar1-200": (lambda: ar1_scenario(200), "trend"),
+    "ar1-2000": (lambda: ar1_scenario(2000), "trend"),
+    "ar1-sum-row": (lambda: ar1_model(n=30, extra_constraints=(
+        after_intercept(np.ones(30)), [0.0])), "trend"),
+    "ar1-two-rows": (lambda: ar1_model(n=30, extra_constraints=(
+        np.vstack([after_intercept(np.ones(30)), after_intercept(np.arange(30.0) - 14.5)]),
+        [0.0, 0.0])), "trend"),
+    "iid": (iid_subset_model, "u"),
+    "ar1-neighbour-means": (ar1_neighbour_means, "trend"),
+}
+
+
+@pytest.mark.parametrize("case", SELECTED_CASES)
+def test_selected_variances_match_the_solved_loop(case):
+    """The selected inversion of the prior LU gives the marginal variances
+    that solving every unit column gives, to roundoff."""
+    make, component = SELECTED_CASES[case]
+    engine = lgocv.groups._make_engine(CorrelationSource("prior", (component,)),
+                                       fitted(make()))
+    solved = lgocv.groups._SparseCorrEngine(engine.A, engine._solve, engine._constrain)
+    assert (engine.variances, solved.variances) == ("selected", "solved")
+    var, ref = engine.sd ** 2, solved.sd ** 2
+    assert np.max(np.abs(var - ref) / ref) <= 1e-12
+
+
+def test_selected_groups_equal_the_solved_loop():
+    """ar1_scenario(2000): every observation's groups for m = 1..10 are the
+    same through the selected variances as through the solved ones."""
+    source = CorrelationSource("prior", ("trend",))
+    selected, solved = fitted(ar1_scenario(2000)), fitted(ar1_scenario(2000))
+    engine = lgocv.groups._engine_for(source, selected)
+    solved.__dict__["_corr_engines"] = {source: lgocv.groups._SparseCorrEngine(
+        engine.A, engine._solve, engine._constrain)}
+    for test in np.array_split(np.arange(2000), 5):     # one kept block each
+        for m in range(1, 11):
+            spec = build_groups(source, selected, m=m, indices=test)
+            ref = build_groups(source, solved, m=m, indices=test)
+            assert list(spec.groups) == list(ref.groups)
+            for i in test:
+                assert np.array_equal(spec[i], ref[i])
+
+
+def test_pinned_ar1_fails_loudly_on_the_selected_path(monkeypatch):
+    """A constraint row that fixes one AR(1) step leaves that predictor a
+    roundoff variance, which the selected path must not pass either."""
+    model = ar1_model(n=30, extra_constraints=(after_intercept(np.eye(30)[0]), [0.0]))
+    served = []
+    selected = lgocv.groups._selected_variances
+    monkeypatch.setattr(lgocv.groups, "_selected_variances",
+                        lambda lu, A: served.append(selected(lu, A)) or served[-1])
+    with pytest.raises(GroupingError, match="zero marginal predictor variance"):
+        build_groups(CorrelationSource("prior", ("trend",)), fitted(model), m=1)
+    assert len(served) == 1 and served[0] is not None
+
+
+@pytest.mark.parametrize("make, source, how", [
+    (lambda: ar1_model(n=20), CorrelationSource("prior", ("trend",)), "selected"),
+    (lambda: ar1_model(n=20), CorrelationSource("prior", None), "solved"),
+    (lambda: besag_lattice(6), CorrelationSource("prior", ("spatial",)), "solved"),
+    (lambda: multilevel_poisson(seed=4, classes=4, per_class=5), POSTERIOR, "solved"),
+], ids=["ar1-subset", "intercept-pairs", "besag", "posterior"])
+def test_debug_record_names_the_variance_path(make, source, how, caplog):
+    """Selected inversion serves a proper prior subset whose factor holds
+    every pair; an intercept paired with the trend (outside the block
+    diagonal factor), a bordered Besag K and the posterior are solved."""
+    with caplog.at_level(logging.DEBUG, logger="lgocv.groups"):
+        build_groups(source, fitted(make()), m=1)
+    assert f"variances={how}" in caplog.text
 
 
 def isolated_node_besag():
@@ -517,6 +609,7 @@ def test_slabs_match_one_slab_bitwise(case, monkeypatch):
 
     def run(width):
         if width is not None:
+            monkeypatch.setattr(lgocv.covariance, "SLAB_MIN", 1)
             monkeypatch.setattr(lgocv.covariance, "SLAB_BYTES", 8 * p * width)
             assert lgocv.covariance.slab_width(p) == width
         ga.__dict__.pop("_eta_columns", None)     # solve, not reuse, at width
@@ -554,6 +647,7 @@ def test_warm_columns_equal_a_cold_solve(case, width, monkeypatch):
     warm = fitted(make())
     p = warm.model.latent_size
     if width is not None:
+        monkeypatch.setattr(lgocv.covariance, "SLAB_MIN", 1)
         monkeypatch.setattr(lgocv.covariance, "SLAB_BYTES", 8 * p * width)
     perm = np.random.default_rng(3).permutation(warm.model.n_obs)
     calls = [(perm[:10], 10), (perm[9::-1], 10), (perm[2:7], 0), (perm[:16], 11),
@@ -579,6 +673,7 @@ def test_kept_columns_stay_within_the_last_call_and_one_slab(monkeypatch):
     eta_covariance(ga, np.arange(100, 150))
     assert kept_bytes(ga) == 0                   # nor do disjoint calls
 
+    monkeypatch.setattr(lgocv.covariance, "SLAB_MIN", 1)
     monkeypatch.setattr(lgocv.covariance, "SLAB_BYTES", 8 * p * 5)
     rng = np.random.default_rng(7)
     pool = np.arange(60, 100)
@@ -632,8 +727,9 @@ def test_invalid_arguments():
         CorrelationSource("bogus")
     with pytest.raises(GroupingError):
         build_groups(CorrelationSource("prior", ("nope",)), ga, m=1)
-    with pytest.raises(IndexError):
-        correlation_row(POSTERIOR, ga, 99)
+    for i in (99, 4, -1):
+        with pytest.raises(IndexError):
+            build_groups(POSTERIOR, ga, m=1, indices=[i])
 
 
 def test_quad_sums_each_row_as_the_broadcasting_product():
