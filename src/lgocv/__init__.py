@@ -14,10 +14,9 @@ from .approx import (find_mode, log_evidence, build_theta_grid,
 from .covariance import EtaMoments, eta_covariance
 from .groups import (CorrelationSource, GroupSpec, build_groups,
                      singleton_groups, read_groups, write_groups)
-from .engine import (LeaveGroupMoments, LgocvResult, downdate,
-                     theta_correction, compute_lgocv, compute_loocv,
-                     fit_grid_approximations, DowndateError)
-from .oracle import (OracleReport, refit_predictive, refit_predictive_all,
+from .engine import (LgocvResult, downdate, leave_group_moments,
+                     compute_lgocv, fit_grid_approximations, DowndateError)
+from .oracle import (OracleReport, refit_predictive_all,
                      dense_downdate_oracle, lfocv_curve, map_levels_to_steps)
 
 __version__ = "0.1.0"

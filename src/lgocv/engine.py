@@ -1,18 +1,18 @@
 """Leave-group-out predictive densities without refitting.
 
-Per theta grid point, from the factorization kept on its GaussianApprox:
-the test observations' groups are deduplicated, and ``eta_covariance`` of
-each chunk of distinct groups (member union of at most ``RHS_BATCH``
-observations, solved in cache-sized slabs, less the columns a fit kept from
-an overlapping union) gives the posterior moments of eta over the union,
-from which each group's moments are a sub-block.  One kernel call per group
-size removes the groups' likelihood contributions from the moments of eta_I
-(one Cholesky of I - D sigma_I D per group, D = diag(sqrt(c_I)), for
-full-rank and rank-deficient groups alike) and the theta weight is
-corrected by a Laplace approximation of pi(y_I | theta, y_-I).  One
-batched adaptive Gauss-Hermite call then evaluates every test
+``leave_group_moments`` is the one path from a fit and distinct groups to
+their leave-out moments: ``eta_covariance`` of each chunk of groups (member
+union of at most ``RHS_BATCH`` observations) gives the moments of eta over
+the union, each group's are a sub-block, and one kernel call per chunk and
+group size removes the groups' likelihood contributions (one Cholesky of
+I - D sigma_I D per group, D = diag(sqrt(c_I)), whatever its rank) and
+corrects the theta weight by a Laplace approximation of
+pi(y_I | theta, y_-I).  ``compute_lgocv`` takes these per theta grid point,
+then one batched adaptive Gauss-Hermite call evaluates every test
 observation's one-dimensional predictive integral.  Theta points are
-independent, which is what ``threads`` runs in parallel.
+independent, which is what ``threads`` runs in parallel.  ``downdate`` and
+``theta_correction`` are single-group forms that no library module calls:
+the benchmark's oracle check and tracer name them.
 """
 
 from __future__ import annotations
@@ -44,8 +44,9 @@ class DowndateError(RuntimeError):
 class LeaveGroupMoments:
     """Moments of eta_I with y_I removed, plus what the Laplace ratio needs.
 
-    ``log_ratio`` is log piG(eta*_I | y_-I) - log piG(eta*_I | y) at the
-    full-data mean; ``sigma`` may be singular, as sigma_I may be.
+    ``downdate``'s result.  ``log_ratio`` is log piG(eta*_I | y_-I) -
+    log piG(eta*_I | y) at the full-data mean; ``sigma`` may be singular,
+    as sigma_I may be.
     """
 
     indices: np.ndarray
@@ -106,14 +107,11 @@ def _downdate_stack(mu, sigma, cI, bI):
             log_ratio, reasons)
 
 
-def downdate(em, ga, I=None):
-    """Remove the group's likelihood information from the eta_I moments.
-
-    The kernel on a stack of one (``compute_lgocv`` stacks every group of
-    one size): the leave-out covariance is sigma_I + G'G, G = L^-1 D sigma_I,
-    from the Cholesky L L' = I - D sigma_I D, D = diag(sqrt(c_I)).
-    """
-    I = em.indices if I is None else np.asarray(I, dtype=int)
+def downdate(em, ga):
+    """Remove the group's likelihood information from the eta_I moments:
+    the kernel on a stack of one, the bits of ``leave_group_moments`` on
+    the group alone."""
+    I = em.indices
     mu, sigma, log_ratio, reasons = _downdate_stack(
         em.mu[None], em.sigma[None], ga.c[I][None], ga.b[I][None])
     if reasons:
@@ -121,11 +119,10 @@ def downdate(em, ga, I=None):
     return LeaveGroupMoments(I, mu[0], sigma[0], float(log_ratio[0]))
 
 
-def theta_correction(lgm, em, ga, I=None):
+def theta_correction(lgm, em, ga):
     """log pi_LA(y_I | theta, y_-I): likelihood at the full-data predictor
     mode times the ratio of the leave-out to full Gaussian densities there."""
-    I = lgm.indices if I is None else np.asarray(I, dtype=int)
-    val = float(np.sum(ga.g[I])) + lgm.log_ratio
+    val = float(np.sum(ga.g[lgm.indices])) + lgm.log_ratio
     if not np.isfinite(val):
         raise DowndateError(NON_FINITE_CORRECTION)
     return val
@@ -307,25 +304,30 @@ def _union_chunks(members, limit):
     return out
 
 
-@dataclass
-class _ThetaScores:
-    """One theta point's share of the mixture over the grid."""
+@dataclass(frozen=True)
+class GroupMoments:
+    """Leave-out moments of distinct groups at one fit, as the kernel stacks
+    them: ``stacks`` holds (group ids, mu (k, s), sigma (k, s, s)) per chunk
+    and group size s, failed groups included; ``log_corr`` is each group's
+    log pi_LA(y_I | theta, y_-I) = sum(g_I) + log_ratio, nan where
+    ``reasons`` (group -> reason) says why it failed; ``solved`` counts the
+    RHS columns solved, not kept from an earlier call."""
 
-    log_corr: np.ndarray      # per distinct group; nan where it failed
-    log_inner: np.ndarray     # per test observation; nan where skipped
-    failures: dict            # test position -> reason
-    solved: int               # RHS columns solved, not kept from an earlier call
+    stacks: list
+    log_corr: np.ndarray
+    reasons: dict
+    solved: int
 
 
-def _score_theta(model, ga, test, members, group_of, at, chunks, gh_order):
-    """Leave-group moments of every distinct group at one theta point, one
-    kernel call per chunk and group size, then one quadrature over the test
-    observations whose group downdated."""
-    offset = np.cumsum([0] + [I.size for I in members])
-    loo_mu = np.zeros(offset[-1])
-    loo_var = np.zeros(offset[-1])
+def leave_group_moments(ga, members, chunks=None):
+    """Leave-out moments of the groups ``members`` (observation arrays, no
+    two equal) at the fit ``ga``: ``eta_covariance`` once per chunk of
+    ``_union_chunks(members, RHS_BATCH)`` (or ``chunks``), and
+    ``_downdate_stack`` once per chunk and group size."""
+    if chunks is None:
+        chunks = _union_chunks(members, RHS_BATCH)
     log_corr = np.full(len(members), np.nan)
-    reasons, solved = {}, 0
+    stacks, reasons, solved = [], {}, 0
     for ids, U, pos in chunks:
         em = eta_covariance(ga, U)
         solved += em.solved
@@ -340,17 +342,32 @@ def _score_theta(model, ga, test, members, group_of, at, chunks, gh_order):
             corr = ga.g[G].sum(axis=1) + log_ratio
             done = np.isfinite(corr)
             for j in np.flatnonzero(~done):
-                reasons[gs[j]] = why.get(j, NON_FINITE_CORRECTION)
+                reasons[int(gs[j])] = why.get(j, NON_FINITE_CORRECTION)
             log_corr[gs[done]] = corr[done]
-            flat = offset[gs[done]][:, None] + np.arange(s)
-            loo_mu[flat] = mu[done]
-            loo_var[flat] = np.diagonal(sigma[done], axis1=1, axis2=2)
+            stacks.append((gs, mu, sigma))
+    return GroupMoments(stacks, log_corr, reasons, solved)
+
+
+def _score_theta(model, ga, test, members, group_of, at, chunks, gh_order):
+    """One theta point's share of the mixture over the grid: the groups'
+    log corrections (``leave_group_moments``), the log inner integral of
+    each test observation whose group downdated (nan where skipped, from one
+    Gauss-Hermite call), {test position: reason} for the skipped ones, and
+    the RHS columns solved."""
+    lg = leave_group_moments(ga, members, chunks)
+    offset = np.cumsum([0] + [I.size for I in members])
+    loo_mu = np.zeros(offset[-1])
+    loo_var = np.zeros(offset[-1])
+    for gs, mu, sigma in lg.stacks:
+        flat = offset[gs][:, None] + np.arange(mu.shape[1])
+        loo_mu[flat] = mu
+        loo_var[flat] = np.diagonal(sigma, axis1=1, axis2=2)
 
     flat = offset[group_of] + at
     mean, var = loo_mu[flat], loo_var[flat]
-    downdated = np.isfinite(log_corr[group_of])
+    downdated = np.isfinite(lg.log_corr[group_of])
     degenerate = downdated & (var <= 0)
-    failures = {int(n): reasons[group_of[n]]
+    failures = {int(n): lg.reasons[group_of[n]]
                 for n in np.flatnonzero(~downdated)}
     failures.update((int(n), DEGENERATE_VARIANCE)
                     for n in np.flatnonzero(degenerate))
@@ -359,7 +376,7 @@ def _score_theta(model, ga, test, members, group_of, at, chunks, gh_order):
     if score.any():
         log_inner[score] = gh_log_predictive(model, ga.theta, test[score],
                                              mean[score], var[score], gh_order)
-    return _ThetaScores(log_corr, log_inner, failures, solved)
+    return lg.log_corr, log_inner, failures, lg.solved
 
 
 def compute_lgocv(model, grid, groups, gas=None, test_indices=None,
@@ -367,15 +384,12 @@ def compute_lgocv(model, grid, groups, gas=None, test_indices=None,
     """Leave-group-out predictive density for every requested observation.
 
     Works one theta point at a time.  The test observations' groups are
-    deduplicated; per chunk of distinct groups whose member union spans at
-    most ``RHS_BATCH`` observations, ``eta_covariance`` gives the moments
-    of eta_U, and each group's moments are its sub-block.  The downdate (one
-    stacked Cholesky, whatever the groups' ranks) and the theta correction
-    then run once per chunk and group size, and one batched Gauss-Hermite
-    call scores every test observation.  ``threads`` runs theta points in
-    parallel.  A debug record counts the theta points, test observations,
-    distinct groups, RHS columns solved and reused, successful downdates
-    and skips.
+    deduplicated and chunked once; at each theta point
+    ``leave_group_moments`` gives every distinct group's leave-out moments
+    and theta correction, and one batched Gauss-Hermite call scores every
+    test observation.  ``threads`` runs theta points in parallel.  A debug
+    record counts the theta points, test observations, distinct groups, RHS
+    columns solved and reused, successful downdates and skips.
 
     An observation whose group cannot be downdated, or whose leave-out
     variance is degenerate, at some theta point is skipped with the first
@@ -401,9 +415,10 @@ def compute_lgocv(model, grid, groups, gas=None, test_indices=None,
     else:
         per_theta = [one(ga) for ga in gas]
 
+    log_corrs, inners, failures, solves = zip(*per_theta)
     reasons = {}
-    for scores in per_theta:          # grid order: the first failure wins
-        for n, msg in scores.failures.items():
+    for fails in failures:            # grid order: the first failure wins
+        for n, msg in fails.items():
             reasons.setdefault(n, msg)
     skipped = [(int(test[n]), reasons[n]) for n in sorted(reasons)]
     for i, msg in skipped:
@@ -411,21 +426,20 @@ def compute_lgocv(model, grid, groups, gas=None, test_indices=None,
     ok = np.ones(len(test), dtype=bool)
     ok[list(reasons)] = False
 
-    log_corr = np.array([s.log_corr for s in per_theta])[:, group_of[ok]]
-    log_inner = np.array([s.log_inner for s in per_theta])[:, ok]
-    logw = np.log(grid.weights)[:, None] - log_corr
+    log_corr = np.array(log_corrs)
+    log_inner = np.array(inners)[:, ok]
+    logw = np.log(grid.weights)[:, None] - log_corr[:, group_of[ok]]
     logw -= logw.max(axis=0)
     w = np.exp(logw)
     w /= w.sum(axis=0)
     dens = np.einsum("kn,kn->n", w, np.exp(log_inner))
 
-    solved = sum(s.solved for s in per_theta)
+    solved = sum(solves)
     log.debug("lgocv: %d theta points, %d test observations, %d distinct "
               "groups, RHS columns solved=%d reused=%d, downdates=%d, "
               "%d skipped", len(gas), len(test), len(members), solved,
               len(gas) * sum(U.size for _, U, _ in chunks) - solved,
-              sum(int(np.isfinite(s.log_corr).sum()) for s in per_theta),
-              len(skipped))
+              int(np.isfinite(log_corr).sum()), len(skipped))
 
     log_score = np.log(dens)
     utility = float(np.mean(log_score)) if len(dens) else float("nan")
@@ -433,12 +447,3 @@ def compute_lgocv(model, grid, groups, gas=None, test_indices=None,
     return LgocvResult(test[ok], dens, log_score, sizes, utility, skipped,
                        len(gas))
 
-
-def compute_loocv(model, grid, gas=None, test_indices=None,
-                  gh_order=DEFAULT_GH_ORDER):
-    """LGOCV with singleton groups: plain leave-one-out."""
-    from .groups import singleton_groups
-    if test_indices is None:
-        test_indices = range(model.n_obs)
-    return compute_lgocv(model, grid, singleton_groups(test_indices), gas=gas,
-                         test_indices=test_indices, gh_order=gh_order)

@@ -1,14 +1,12 @@
 """Observation likelihood families.
 
-Each family provides the per-observation log density g_i(eta_i) and its
-first two derivatives in the linear predictor.  All supported families are
-log-concave in eta, so the curvature -g'' is nonnegative everywhere.
-
-``observe(y)`` gives a family at fixed responses y, with its data-only
-terms computed once: the binomial trial counts and log binomial
-coefficients, the Poisson log offsets and log y!.  A Newton iteration or a
-quadrature rule evaluates it at many eta, with the same expressions, in the
-same order, as ``log_density`` and ``derivatives`` at each one.
+Each family's ``observe(y)`` gives the per-observation log density
+g_i(eta_i) and its first two derivatives in the linear predictor at fixed
+responses y, with the data-only terms computed once: the binomial trial
+counts and log binomial coefficients, the Poisson log offsets and log y!.
+A Newton iteration or a quadrature rule evaluates it at many eta.  All
+supported families are log-concave in eta, so the curvature -g'' is
+nonnegative everywhere.
 """
 
 from __future__ import annotations
@@ -40,20 +38,8 @@ class Observed(NamedTuple):
     derivatives: object         # (g, g', g'') per observation
 
 
-class _Family:
-    """A family's values at responses y, each call through ``observe(y)``."""
-
-    def log_density(self, y, eta, hyper=None):
-        """g_i(eta_i) per observation at responses y."""
-        return self.observe(y).log_density(eta, hyper)
-
-    def derivatives(self, y, eta, hyper=None):
-        """(g, g', g'') per observation at responses y."""
-        return self.observe(y).derivatives(eta, hyper)
-
-
 @dataclass(frozen=True)
-class Gaussian(_Family):
+class Gaussian:
     """Gaussian response with known or hyper-linked observation precision.
 
     ``precision`` is either a positive float or the name of a hyperparameter
@@ -88,7 +74,7 @@ class Gaussian(_Family):
 
 
 @dataclass(frozen=True)
-class Poisson(_Family):
+class Poisson:
     """Poisson counts with strictly positive per-observation offsets E_i."""
 
     offset: np.ndarray | float = 1.0
@@ -118,7 +104,7 @@ class Poisson(_Family):
 
 
 @dataclass(frozen=True)
-class Binomial(_Family):
+class Binomial:
     """Binomial counts with logit link and per-observation trial counts."""
 
     n_trials: np.ndarray | float = 1.0
@@ -149,7 +135,7 @@ class Binomial(_Family):
 
 
 @dataclass(frozen=True)
-class Exponential(_Family):
+class Exponential:
     """Exponential responses with mean exp(eta), i.e. rate exp(-eta)."""
 
     kind = "exponential"

@@ -42,7 +42,6 @@ class HyperPoint:
     """A point in the internal-scale hyperparameter space."""
 
     values: np.ndarray
-    log_prior: float = 0.0
 
     def __post_init__(self):
         v = np.atleast_1d(np.asarray(self.values, dtype=float))
@@ -165,8 +164,7 @@ class LgmModel:
         return float(lp)
 
     def hyper_point(self, theta):
-        return HyperPoint(np.atleast_1d(np.asarray(theta, dtype=float)),
-                          self.log_hyper_prior(theta))
+        return HyperPoint(np.atleast_1d(np.asarray(theta, dtype=float)))
 
     # -- assembly ----------------------------------------------------------
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
+from scipy.linalg import cho_factor, cho_solve, null_space
 from scipy.optimize import brentq
 
 from .approx import GRID_STEP, build_theta_grid, find_mode
@@ -73,45 +74,30 @@ def _refit_group(model, i, I, thetas, step):
     return grid.points, grid.weights, fit_grid_approximations(sub, grid)
 
 
-def _mix_predictive(model, i, pts, weights, gas_sub, gh_order):
-    row = model.design[int(i)]
-    dens = 0.0
-    for hp, w, ga_sub in zip(pts, weights, gas_sub):
-        mean, var = _eta_moments_on(ga_sub, row)
-        dens += w * np.exp(gh_log_predictive(model, hp, int(i), mean, var, gh_order))
-    return float(dens)
-
-
-def refit_predictive(model, i, I, thetas=None, step=GRID_STEP,
-                     gh_order=DEFAULT_GH_ORDER):
-    """pi(y_i | y_-I) by actually removing y_I and refitting.
+def refit_predictive_all(model, groups, indices=None, thetas=None,
+                         step=GRID_STEP, gh_order=DEFAULT_GH_ORDER):
+    """pi(y_i | y_-I) by actually removing y_I and refitting, for each
+    observation i of ``indices`` (all of ``groups`` by default) and I its
+    group.
 
     ``thetas`` fixes the hyperparameter points (equal treatment of a fixed
     theta); otherwise the theta grid is rebuilt on the reduced data, with
-    grid spacing ``step``.
-    """
-    pts, weights, gas_sub = _refit_group(model, i, I, thetas, step)
-    return _mix_predictive(model, i, pts, weights, gas_sub, gh_order)
-
-
-def refit_predictive_all(model, groups, indices=None, thetas=None,
-                         step=GRID_STEP, gh_order=DEFAULT_GH_ORDER):
-    """Refit oracle for many observations, one refit per distinct group.
-
-    Observations whose groups coincide (common with automatic groups) share
-    the reduced-data fit; the result is identical to calling
-    :func:`refit_predictive` per observation.
+    grid spacing ``step``.  Observations whose groups coincide (common with
+    automatic groups) share the reduced-data fit; the result is identical to
+    one call per observation.
     """
     if indices is None:
         indices = groups.indices()
-    cache = {}
-    out = {}
-    for i in indices:
-        key = tuple(int(j) for j in groups[int(i)])
+    cache, out = {}, {}
+    for i in map(int, indices):
+        key = tuple(int(j) for j in groups[i])
         if key not in cache:
             cache[key] = _refit_group(model, i, key, thetas, step)
-        pts, weights, gas_sub = cache[key]
-        out[int(i)] = _mix_predictive(model, i, pts, weights, gas_sub, gh_order)
+        row, dens = model.design[i], 0.0
+        for hp, w, ga_sub in zip(*cache[key]):
+            mean, var = _eta_moments_on(ga_sub, row)
+            dens += w * np.exp(gh_log_predictive(model, hp, i, mean, var, gh_order))
+        out[i] = float(dens)
     return out
 
 
@@ -119,9 +105,12 @@ def dense_downdate_oracle(model, theta, I, ga=None):
     """Leave-group moments of eta_I by dense assembly on y_-I.
 
     Uses the full-data linearization (b, C) like the engine, but works in
-    the latent space with dense matrices and the dense constraint
-    projection, validating both the downdate and the entry-by-entry
-    covariance path.
+    the latent space with dense matrices, validating both the downdate and
+    the entry-by-entry covariance path.  Linear constraints C f = e are
+    solved in the null space Z of C, through a Cholesky of Z' Qd Z: with an
+    intrinsic block and a vague intercept, Qd itself is near singular along
+    the direction the constraint removes, and inverting it first loses
+    digits (1.2e-9 on a Poisson RW1 group of five).
     """
     I = np.asarray(I, dtype=int)
     if ga is None:
@@ -132,16 +121,19 @@ def dense_downdate_oracle(model, theta, I, ga=None):
 
     Qd = P + (A * ga.c[:, None]).T @ A - (AI * ga.c[I][:, None]).T @ AI
     r = A.T @ ga.b - AI.T @ ga.b[I]
-    sigma_f = np.linalg.inv(Qd)
-    mu_f = sigma_f @ r
-    if model.constraints is not None:
+    if model.constraints is None:
+        sigma_f = np.linalg.inv(Qd)
+        mu_f = sigma_f @ r
+        sigma = AI @ sigma_f @ AI.T
+    else:
         C, e = model.constraints
-        W = sigma_f @ C.T
-        G = np.linalg.inv(C @ W)
-        mu_f = mu_f - W @ G @ (C @ mu_f - e)
-        sigma_f = sigma_f - W @ G @ W.T
+        f0 = np.linalg.lstsq(C, e, rcond=None)[0]     # any point with C f0 = e
+        Z = null_space(C)
+        cho = cho_factor(Z.T @ Qd @ Z)
+        mu_f = f0 + Z @ cho_solve(cho, Z.T @ (r - Qd @ f0))
+        AZ = AI @ Z
+        sigma = AZ @ cho_solve(cho, AZ.T)
     mu = AI @ mu_f
-    sigma = AI @ sigma_f @ AI.T
     return EtaMoments(I, mu, 0.5 * (sigma + sigma.T))
 
 

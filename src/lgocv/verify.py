@@ -1,8 +1,9 @@
-"""Randomized engine-vs-oracle verification of the downdate machinery.
+"""Randomized engine-vs-oracle verification of the leave-group moments.
 
 Draws small models with random designs, families, components and constraint
-patterns, and checks that the sparse no-refit leave-group moments match a
-dense brute-force assembly entry by entry.
+patterns, builds groups on each as ``lgocv groups`` does, and checks that
+the leave-group moments cross-validation computes (``leave_group_moments``)
+match a dense brute-force assembly entry by entry.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from scipy.special import expit
 from .approx import find_mode
 from .components import Ar1, FixedEffects, Iid, Rw1
 from .covariance import eta_covariance
-from .engine import downdate, DowndateError
+from .engine import _distinct_groups, leave_group_moments
+from .groups import CorrelationSource, build_groups
 from .likelihoods import Binomial, Gaussian, Poisson
-from .model import LgmModel, HyperSpec
+from .model import LgmModel
 from .oracle import OracleReport, dense_downdate_oracle
 
 VERIFY_TOL = 1e-9
@@ -58,13 +60,16 @@ def random_model(rng):
     return LgmModel(comps, A, lik, y)
 
 
-def random_group(rng, model):
-    size = int(rng.integers(1, 5))
-    return np.sort(rng.choice(model.n_obs, size=size, replace=False))
-
-
 def run_verification(cases=50, seed=0, tolerance=VERIFY_TOL):
-    """Compare sparse downdated moments with the dense oracle on random models."""
+    """Compare the leave-group moments of CV with the dense oracle.
+
+    Each case is one random model and one ``build_groups`` spec on it
+    (posterior or prior ``block`` correlations, m from 1 to 3), whose
+    distinct groups are scored by one ``leave_group_moments`` call.  Two
+    overlapping ``eta_covariance`` calls before it leave the fit holding
+    columns the groups reuse.  A case whose groups do not all downdate is
+    drawn again; each case reports its worst scaled mu and sigma errors.
+    """
     rng = np.random.default_rng(seed)
     report = OracleReport(tolerance=tolerance, relative=False)
     done = 0
@@ -72,18 +77,24 @@ def run_verification(cases=50, seed=0, tolerance=VERIFY_TOL):
         model = random_model(rng)
         theta = model.hyper_point(np.zeros(0))
         ga = find_mode(model, theta)
-        I = random_group(rng, model)
+        source = (CorrelationSource("posterior") if rng.integers(2)
+                  else CorrelationSource("prior", ("block",)))
+        spec = build_groups(source, ga, m=int(rng.integers(1, 4)))
+        members = _distinct_groups(spec, spec.indices())[0]
+        I = members[0]
         warm = np.union1d(I[:1], (I + 1) % model.n_obs)     # overlaps I
         for _ in range(2):          # the second call keeps columns I reuses
             eta_covariance(ga, warm)
-        try:
-            lgm = downdate(eta_covariance(ga, I), ga)
-        except DowndateError:
+        lg = leave_group_moments(ga, members)
+        if lg.reasons:
             continue                      # draw another case
-        oracle = dense_downdate_oracle(model, theta, I, ga=ga)
-        scale = max(np.abs(oracle.mu).max(), np.abs(oracle.sigma).max(), 1.0)
-        mu_err = np.abs(lgm.mu - oracle.mu).max() / scale
-        sig_err = np.abs(lgm.sigma - oracle.sigma).max() / scale
+        mu_err = sig_err = 0.0
+        for gs, mu, sigma in lg.stacks:
+            for g, mu_g, sigma_g in zip(gs, mu, sigma):
+                oracle = dense_downdate_oracle(model, theta, members[g], ga=ga)
+                scale = max(np.abs(oracle.mu).max(), np.abs(oracle.sigma).max(), 1.0)
+                mu_err = max(mu_err, np.abs(mu_g - oracle.mu).max() / scale)
+                sig_err = max(sig_err, np.abs(sigma_g - oracle.sigma).max() / scale)
         report.add(f"case{done}:mu", mu_err, 0.0)
         report.add(f"case{done}:sigma", sig_err, 0.0)
         done += 1

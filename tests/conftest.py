@@ -1,13 +1,34 @@
 """Shared model builders for the test suite."""
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from lgocv import simulate
 from lgocv.components import Besag, FixedEffects, Iid
+from lgocv.engine import DowndateError, leave_group_moments
 from lgocv.likelihoods import Gaussian, Poisson
 from lgocv.model import HyperSpec, LgmModel
+
+
+class LeftOut(NamedTuple):
+    """One group's leave-out moments and log pi_LA(y_I | theta, y_-I)."""
+
+    mu: np.ndarray
+    sigma: np.ndarray
+    log_corr: float
+
+
+def leave_out(ga, I):
+    """``leave_group_moments`` on the single group I; a group that fails
+    raises DowndateError with the reason it gives."""
+    lg = leave_group_moments(ga, [np.asarray(I, dtype=int)])
+    if lg.reasons:
+        raise DowndateError(lg.reasons[0])
+    (_, mu, sigma), = lg.stacks
+    return LeftOut(mu[0], sigma[0], float(lg.log_corr[0]))
 
 
 def conjugate_pair(y1=0.0, y2=0.0):

@@ -5,8 +5,7 @@ import pytest
 
 from lgocv.approx import ThetaGrid, build_theta_grid, find_mode
 from lgocv.covariance import eta_covariance
-from lgocv.engine import (compute_lgocv, compute_loocv, downdate,
-                          gh_log_predictive)
+from lgocv.engine import compute_lgocv, gh_log_predictive, leave_group_moments
 from lgocv.groups import CorrelationSource, build_groups, singleton_groups
 from lgocv.likelihoods import Binomial, Exponential, Gaussian, Poisson
 from lgocv.oracle import lfocv_curve, map_levels_to_steps, refit_predictive_all
@@ -131,7 +130,7 @@ def test_criterion_5_downdate_formula_verification():
            f"hand case err {hand_err:.3e}")
 
 
-def test_criterion_6_property_suite():
+def test_criterion_6_property_suite(ar1_setup):
     checks = []
 
     # likelihood derivatives vs finite differences
@@ -141,11 +140,12 @@ def test_criterion_6_property_suite():
     for fam, y in [(Gaussian(precision=2.0), 0.7), (Poisson(offset=1.5), 3.0),
                    (Binomial(n_trials=20.0), 8.0), (Exponential(), 0.9)]:
         yv = np.full_like(eta, y)
-        g, g1, g2 = fam.derivatives(yv, eta)
-        _, g1p, _ = fam.derivatives(yv, eta + h)
-        _, g1m, _ = fam.derivatives(yv, eta - h)
-        gp, _, _ = fam.derivatives(yv, eta + h)
-        gm, _, _ = fam.derivatives(yv, eta - h)
+        derivatives = fam.observe(yv).derivatives
+        g, g1, g2 = derivatives(eta)
+        _, g1p, _ = derivatives(eta + h)
+        _, g1m, _ = derivatives(eta - h)
+        gp, _, _ = derivatives(eta + h)
+        gm, _, _ = derivatives(eta - h)
         e1 = np.max(np.abs(g1 - (gp - gm) / (2 * h)) / np.maximum(np.abs(g1), 1.0))
         e2 = np.max(np.abs(g2 - (g1p - g1m) / (2 * h)) / np.maximum(np.abs(g2), 1.0))
         worst_fd = max(worst_fd, float(e1), float(e2))
@@ -168,20 +168,26 @@ def test_criterion_6_property_suite():
     # removing information never shrinks the covariance
     big = multilevel_poisson(seed=4)
     ga = find_mode(big, big.hyper_point(np.zeros(0)))
-    psd_ok = True
-    for I in ([7], [0, 25, 50], np.arange(30, 40)):
-        em = eta_covariance(ga, I)
-        gap = np.linalg.eigvalsh(downdate(em, ga).sigma - em.sigma)
-        psd_ok = psd_ok and gap.min() >= -1e-10
+    members = [np.array([7]), np.array([0, 25, 50]), np.arange(30, 40)]
+    lg = leave_group_moments(ga, members)
+    psd_ok = not lg.reasons
+    for gs, _, sigma in lg.stacks:
+        for g, sigma_g in zip(gs, sigma):
+            em = eta_covariance(ga, members[g])
+            gap = np.linalg.eigvalsh(sigma_g - em.sigma)
+            psd_ok = psd_ok and gap.min() >= -1e-10
     checks.append(("information monotonicity", psd_ok))
 
-    # singleton LGOCV is bitwise LOOCV
-    gridb = build_theta_grid(big)
-    gasb = [find_mode(big, hp) for hp in gridb.points]
-    a = compute_lgocv(big, gridb, singleton_groups(range(big.n_obs)), gas=gasb)
-    b = compute_loocv(big, gridb, gas=gasb)
+    # built groups that are all singletons score bitwise as LOOCV
+    ar1, grid1, gas1 = ar1_setup
+    test = list(range(ar1.n_obs - 100, ar1.n_obs))
+    spec = build_groups(CorrelationSource("prior", ("trend",)), gas1[0], m=1,
+                        indices=test)
+    a = compute_lgocv(ar1, grid1, spec, gas=gas1)
+    b = compute_lgocv(ar1, grid1, singleton_groups(test), gas=gas1)
     checks.append(("singleton == loocv",
-                   np.array_equal(a.density, b.density)
+                   spec.all_singletons()
+                   and np.array_equal(a.density, b.density)
                    and a.utility == b.utility))
 
     ok = all(flag for _, flag in checks)

@@ -543,6 +543,23 @@ def test_verify_small_run(tmp_path):
     assert all(r.endswith(",1") for r in report[1:])
 
 
+def test_verify_fails_when_the_cv_path_is_off(tmp_path, monkeypatch, capsys):
+    """A 1e-8 relative shift of the stacked kernel's sigma, on the path
+    ``compute_lgocv`` runs, fails the verification and its command."""
+    from lgocv import engine
+    from lgocv.verify import run_verification
+    kernel = engine._downdate_stack
+
+    def shifted(*args):
+        mu, sigma, log_ratio, why = kernel(*args)
+        return mu, sigma * (1 + 1e-8), log_ratio, why
+
+    monkeypatch.setattr(engine, "_downdate_stack", shifted)
+    assert not run_verification(cases=5).passed
+    assert main(["verify", "--cases", "5", "--out", str(tmp_path)]) == 1
+    assert "verification FAILED: 10 cases" in capsys.readouterr().out
+
+
 def _assert_help(command, env=None):
     proc = subprocess.run(command, capture_output=True, text=True, env=env,
                           timeout=60)

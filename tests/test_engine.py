@@ -1,6 +1,7 @@
 import copy
 import gc
 import logging
+from typing import NamedTuple
 
 import mpmath
 import numpy as np
@@ -15,16 +16,15 @@ from lgocv import engine, simulate
 from lgocv.approx import build_theta_grid, find_mode
 from lgocv.components import Iid
 from lgocv.covariance import EtaMoments, eta_covariance
-from lgocv.engine import (DowndateError, LeaveGroupMoments, compute_lgocv,
-                          compute_loocv, downdate, fit_grid_approximations,
-                          gh_log_predictive, theta_correction)
+from lgocv.engine import (DowndateError, compute_lgocv, fit_grid_approximations,
+                          gh_log_predictive, leave_group_moments)
 from lgocv.groups import CorrelationSource, build_groups, singleton_groups
 from lgocv.likelihoods import Binomial, Exponential, Gaussian, Poisson
 from lgocv.model import LgmModel
 from lgocv.oracle import dense_downdate_oracle
 
 from conftest import (ar1_scenario, besag_lattice, conjugate_pair,
-                      iid_identity_model, multilevel_poisson)
+                      iid_identity_model, leave_out, multilevel_poisson)
 
 
 def fitted(model):
@@ -38,7 +38,7 @@ def test_conjugate_pair_single_downdate():
     em = eta_covariance(ga, [1])
     assert em.mu[0] == pytest.approx((y1 + y2) / 3.0, abs=1e-12)
     assert em.sigma[0, 0] == pytest.approx(1.0 / 3.0, abs=1e-12)
-    lgm = downdate(em, ga)
+    lgm = leave_out(ga, [1])
     assert reference_downdate(em, ga)[1] == "full"
     # removing y2 leaves f | y1 ~ N(y1/2, 1/2)
     assert lgm.mu[0] == pytest.approx(y1 / 2.0, abs=1e-12)
@@ -49,7 +49,7 @@ def test_conjugate_pair_group_downdate_recovers_prior():
     model = conjugate_pair(0.7, -0.2)
     ga = fitted(model)
     em = eta_covariance(ga, [0, 1])     # rank-1: both predictors equal f
-    lgm = downdate(em, ga)
+    lgm = leave_out(ga, [0, 1])
     assert reference_downdate(em, ga)[1] == "eigen"
     assert np.max(np.abs(lgm.mu)) <= 1e-12
     assert np.max(np.abs(lgm.sigma - np.ones((2, 2)))) <= 1e-12
@@ -61,10 +61,11 @@ def test_downdate_noop_when_no_curvature():
                      Poisson(offset=1e-300), np.zeros(2))
     ga = fitted(model)
     em = eta_covariance(ga, [0, 1])
-    lgm = downdate(em, ga)
+    lgm = leave_out(ga, [0, 1])
     assert np.max(np.abs(lgm.mu - em.mu)) <= 1e-12
     assert np.max(np.abs(lgm.sigma - em.sigma)) <= 1e-12
-    assert lgm.log_ratio == pytest.approx(0.0, abs=1e-10)
+    # log_corr = sum(g_I) + log_ratio, with log_ratio ~ 0
+    assert lgm.log_corr == pytest.approx(float(ga.g[[0, 1]].sum()), abs=1e-10)
 
 
 def test_full_rank_downdate_matches_dense_refit():
@@ -73,7 +74,7 @@ def test_full_rank_downdate_matches_dense_refit():
     ga = find_mode(model, theta)
     I = np.array([0, 15, 37, 81])       # four distinct classes: full rank
     em = eta_covariance(ga, I)
-    lgm = downdate(em, ga)
+    lgm = leave_out(ga, I)
     assert reference_downdate(em, ga)[1] == "full"
     oracle = dense_downdate_oracle(model, theta, I, ga=ga)
     assert np.max(np.abs(lgm.mu - oracle.mu)) <= 1e-8
@@ -86,7 +87,7 @@ def test_eigen_downdate_matches_dense_refit():
     ga = find_mode(model, theta)
     I = np.arange(10)                   # one whole class: rank-deficient
     em = eta_covariance(ga, I)
-    lgm = downdate(em, ga)
+    lgm = leave_out(ga, I)
     assert reference_downdate(em, ga)[1] == "eigen"
     oracle = dense_downdate_oracle(model, theta, I, ga=ga)
     assert np.max(np.abs(lgm.mu - oracle.mu)) <= 1e-8
@@ -96,11 +97,13 @@ def test_eigen_downdate_matches_dense_refit():
 def test_downdate_never_shrinks_variance():
     model = multilevel_poisson(seed=8)
     ga = fitted(model)
-    for I in ([3], [0, 1, 2], np.arange(10, 20)):
-        em = eta_covariance(ga, I)
-        lgm = downdate(em, ga)
-        gap = np.linalg.eigvalsh(lgm.sigma - em.sigma)
-        assert gap.min() >= -1e-10
+    members = [np.array([3]), np.array([0, 1, 2]), np.arange(10, 20)]
+    lg = leave_group_moments(ga, members)
+    assert not lg.reasons
+    for gs, _, sigma in lg.stacks:
+        for g, sigma_g in zip(gs, sigma):
+            gap = np.linalg.eigvalsh(sigma_g - eta_covariance(ga, members[g]).sigma)
+            assert gap.min() >= -1e-10
 
 
 def test_gh_exact_for_gaussian_likelihood():
@@ -136,9 +139,7 @@ def test_theta_correction_exact_for_gaussian():
     y1, y2 = 0.7, -0.2
     model = conjugate_pair(y1, y2)
     ga = fitted(model)
-    em = eta_covariance(ga, [1])
-    lgm = downdate(em, ga)
-    got = theta_correction(lgm, em, ga)
+    got = leave_out(ga, [1]).log_corr
     # Gaussian likelihood: the Laplace value is the exact leave-out density
     want = norm.logpdf(y2, loc=y1 / 2.0, scale=np.sqrt(0.5 + 1.0))
     assert got == pytest.approx(want, abs=1e-10)
@@ -149,8 +150,8 @@ def test_theta_correction_against_monte_carlo():
     theta = model.hyper_point(np.zeros(0))
     ga = find_mode(model, theta)
     I = np.arange(10)                     # a whole class: rank 1
-    lgm = downdate(eta_covariance(ga, I), ga)
-    laplace = theta_correction(lgm, eta_covariance(ga, I), ga)
+    lgm = leave_out(ga, I)
+    laplace = lgm.log_corr
 
     w, V = np.linalg.eigh(lgm.sigma)
     keep = w > 1e-12 * w.max()
@@ -163,9 +164,9 @@ def test_theta_correction_against_monte_carlo():
         eta = lgm.mu + z @ B.T
         ll = np.zeros(eta.shape[0])
         for pos, i in enumerate(I):
-            fam = model.subset_likelihood(np.full(eta.shape[0], i))
-            ll += fam.log_density(np.full(eta.shape[0], model.y[i]), eta[:, pos],
-                                  model.hyper_dict(theta.values))
+            fam = model.subset_likelihood(np.full(eta.shape[0], i)).observe(
+                np.full(eta.shape[0], model.y[i]))
+            ll += fam.log_density(eta[:, pos], model.hyper_dict(theta.values))
         wts = np.exp(ll)
         s1 += wts.sum()
         s2 += (wts * wts).sum()
@@ -188,11 +189,15 @@ def test_quadrature_order_converged():
 
 
 def test_singleton_lgocv_is_loocv_bitwise():
-    model = multilevel_poisson(seed=6, classes=3, per_class=4)
+    """Built groups that are all singletons (AR(1) prior, m = 1) score as
+    LOOCV's ``singleton_groups`` do, bit for bit."""
+    model = ar1_scenario()
     grid = build_theta_grid(model)
-    gas = [find_mode(model, hp) for hp in grid.points]
-    a = compute_lgocv(model, grid, singleton_groups(range(model.n_obs)), gas=gas)
-    b = compute_loocv(model, grid, gas=gas)
+    gas = fit_grid_approximations(model, grid)
+    spec = build_groups(CorrelationSource("prior", ("trend",)), gas[0], m=1)
+    assert spec.all_singletons()
+    a = compute_lgocv(model, grid, spec, gas=gas)
+    b = compute_lgocv(model, grid, singleton_groups(range(model.n_obs)), gas=gas)
     assert np.array_equal(a.density, b.density)
     assert a.utility == b.utility
 
@@ -211,7 +216,7 @@ def test_threaded_run_is_deterministic():
 def test_result_csv_round_trips_values(tmp_path):
     model = multilevel_poisson(seed=6, classes=3, per_class=4)
     grid = build_theta_grid(model)
-    res = compute_loocv(model, grid, test_indices=[0, 5])
+    res = compute_lgocv(model, grid, singleton_groups([0, 5]))
     path = tmp_path / "cv.csv"
     res.write_csv(str(path))
     rows = path.read_text().strip().splitlines()
@@ -272,9 +277,7 @@ def _per_observation_reason(model, gas, i, I):
     pos = int(np.flatnonzero(I == i)[0])
     for ga in gas:
         try:
-            em = eta_covariance(ga, I)
-            lgm = downdate(em, ga)
-            theta_correction(lgm, em, ga)
+            lgm = leave_out(ga, I)
             gh_log_predictive(model, ga.theta, i, lgm.mu[pos],
                               lgm.sigma[pos, pos])
         except DowndateError as exc:
@@ -305,7 +308,7 @@ def test_failed_downdate_skips_the_whole_group(multilevel_fit):
         assert msg == _per_observation_reason(model, bad, i, groups[i])
         assert msg.startswith("leave-out precision has eigenvalue")
     with pytest.raises(DowndateError) as late:
-        downdate(eta_covariance(bad[-1], I), bad[-1])
+        leave_out(bad[-1], I)
     assert res.skipped[0][1] != str(late.value)
 
     kept = np.isin(good.indices, res.indices)
@@ -477,6 +480,13 @@ def _check_leaveout_precision(Qm, scale):
                             f"(scale {scale:.3e}); observation skipped")
 
 
+class Reference(NamedTuple):
+    indices: np.ndarray
+    mu: np.ndarray
+    sigma: np.ndarray
+    log_ratio: float
+
+
 def reference_downdate(em, ga):
     """The two-branch, one-group downdate of earlier versions: a precision
     path for full-rank covariances and a z-space path over sigma's nonzero
@@ -496,7 +506,7 @@ def reference_downdate(em, ga):
         mu_minus = cho_solve(cho, Q @ mu - bI)
         log_ratio = (_log_gauss_dense(mu, mu_minus, sigma_minus)
                      - _log_gauss_dense(mu, mu, sigma))
-        return LeaveGroupMoments(I, mu_minus, sigma_minus, log_ratio), "full"
+        return Reference(I, mu_minus, sigma_minus, log_ratio), "full"
 
     keep = w > RANK_TOL * w_max
     lam = np.sqrt(w[keep])
@@ -513,9 +523,8 @@ def reference_downdate(em, ga):
     sigma_minus = B @ sigma_z @ B.T
     log_ratio = (_log_gauss_dense(mu_z, mu_z_minus, sigma_z)
                  - _log_gauss_dense(mu_z, mu_z, np.eye(B.shape[1])))
-    return LeaveGroupMoments(I, mu_perp + B @ mu_z_minus,
-                             0.5 * (sigma_minus + sigma_minus.T),
-                             log_ratio), "eigen"
+    return Reference(I, mu_perp + B @ mu_z_minus,
+                     0.5 * (sigma_minus + sigma_minus.T), log_ratio), "eigen"
 
 
 def _stack(items):
@@ -654,13 +663,45 @@ def test_kernel_isolates_a_failing_group(multilevel_fit):
     without = engine._downdate_stack(
         *_stack([(bad, I) for I in classes if j not in I]))
     with pytest.raises(DowndateError) as single:
-        downdate(eta_covariance(bad, classes[3]), bad)
+        leave_out(bad, classes[3])
     assert with_bad[3] == {3: str(single.value)}
     assert np.isnan(with_bad[2][3])
     rest = [g for g in range(10) if g != 3]
     for a, b in zip(with_bad[:3], without[:3]):
         assert np.array_equal(a[rest], b)
     assert without[3] == {}
+
+
+@pytest.mark.parametrize("case", ["class", "ar1", "besag"])
+def test_one_group_is_the_single_group_downdate_bitwise(multilevel_fit, case):
+    """On one group, ``leave_group_moments`` gives the bits of ``downdate``
+    and ``theta_correction`` (the entry points the benchmark's oracle check
+    and tracer name), members in any order and with constraints; a failing
+    group gives the reason ``DowndateError`` carries."""
+    model, grid, gas, groups, test = multilevel_fit
+    if case == "class":
+        ga, I = gas[1], groups[30][::-1]
+    else:
+        other, name, m = ((ar1_scenario(), "trend", 3) if case == "ar1"
+                          else (besag_lattice(), "spatial", 2))
+        ga = fitted(other)
+        I = build_groups(CorrelationSource("prior", (name,)), ga, m=m,
+                         indices=[7])[7]
+    lg = leave_group_moments(ga, [I])
+    em = eta_covariance(ga, I)
+    lgm = engine.downdate(em, ga)
+    (gs, mu, sigma), = lg.stacks
+    assert list(gs) == [0] and not lg.reasons
+    assert mu[0].tobytes() == lgm.mu.tobytes()
+    assert sigma[0].tobytes() == lgm.sigma.tobytes()
+    assert lg.log_corr[0] == engine.theta_correction(lgm, em, ga)
+
+    if case == "class":
+        bad = _inflated(gas[1], 30, 1e4)
+        with pytest.raises(DowndateError) as single:
+            engine.downdate(eta_covariance(bad, I), bad)
+        lg = leave_group_moments(bad, [I])
+        assert lg.reasons == {0: str(single.value)} and np.isnan(lg.log_corr[0])
 
 
 def test_cholesky_failure_falls_back_to_single_groups(multilevel_fit,
@@ -702,8 +743,9 @@ def test_cholesky_failure_falls_back_to_single_groups(multilevel_fit,
     one = copy.copy(ga)
     one.c = ga.c.copy()
     one.c[:10] = c_row
+    monkeypatch.setattr(engine, "eta_covariance", lambda ga, U: em)
     with pytest.raises(DowndateError, match="not positive definite"):
-        downdate(em, one)
+        leave_out(one, np.arange(10))
 
 
 @pytest.mark.parametrize("columns", [12, None], ids=["chunked", "one_chunk"])

@@ -7,8 +7,7 @@ from scipy.special import expit, gammaln
 
 from lgocv.approx import build_theta_grid, find_mode
 from lgocv.components import FixedEffects, Iid
-from lgocv.covariance import eta_covariance
-from lgocv.engine import compute_lgocv, downdate, gh_log_predictive
+from lgocv.engine import compute_lgocv, gh_log_predictive, leave_group_moments
 from lgocv.groups import CorrelationSource, build_groups
 from lgocv.likelihoods import (Binomial, Exponential, Gaussian,
                                LikelihoodError, Observed, Poisson, FAMILIES)
@@ -22,9 +21,10 @@ FD_RTOL = 1e-5
 
 def fd_check(fam, y, eta):
     y = np.asarray(y, float)
-    g, g1, g2 = fam.derivatives(y, eta)
-    gp, g1p, _ = fam.derivatives(y, eta + FD_STEP)
-    gm, g1m, _ = fam.derivatives(y, eta - FD_STEP)
+    derivatives = fam.observe(y).derivatives
+    g, g1, g2 = derivatives(eta)
+    gp, g1p, _ = derivatives(eta + FD_STEP)
+    gm, g1m, _ = derivatives(eta - FD_STEP)
     fd1 = (gp - gm) / (2 * FD_STEP)
     fd2 = (g1p - g1m) / (2 * FD_STEP)   # second derivative via analytic g'
     scale1 = np.maximum(np.abs(g1), 1.0)
@@ -37,19 +37,20 @@ ETA_GRID = np.linspace(-5.0, 5.0, 41)
 
 
 def test_gaussian_centered_quadratic():
-    g, g1, g2 = Gaussian(precision=1.0).derivatives(np.zeros(1), np.zeros(1))
+    g, g1, g2 = Gaussian(precision=1.0).observe(np.zeros(1)).derivatives(np.zeros(1))
     assert g1[0] == 0.0
     assert g2[0] == -1.0
 
 
 def test_poisson_unit_example():
-    g, g1, g2 = Poisson(offset=1.0).derivatives(np.ones(1), np.zeros(1))
+    g, g1, g2 = Poisson(offset=1.0).observe(np.ones(1)).derivatives(np.zeros(1))
     assert g1[0] == pytest.approx(0.0, abs=1e-15)
     assert g2[0] == pytest.approx(-1.0)
 
 
 def test_binomial_half_example():
-    g, g1, g2 = Binomial(n_trials=20.0).derivatives(np.full(1, 10.0), np.zeros(1))
+    g, g1, g2 = Binomial(n_trials=20.0).observe(np.full(1, 10.0)).derivatives(
+        np.zeros(1))
     assert g1[0] == pytest.approx(0.0, abs=1e-12)
     assert g2[0] == pytest.approx(-5.0)
 
@@ -88,7 +89,7 @@ def test_log_concavity_all_families():
                    (Poisson(offset=2.0), 3.0),
                    (Binomial(n_trials=7.0), 4.0),
                    (Exponential(), 0.5)]:
-        _, _, g2 = fam.derivatives(np.full_like(ETA_GRID, y), ETA_GRID)
+        _, _, g2 = fam.observe(np.full_like(ETA_GRID, y)).derivatives(ETA_GRID)
         assert np.all(g2 <= 0.0)
 
 
@@ -230,10 +231,12 @@ def test_extreme_responses_fit_score_and_match_the_dense_oracle(model_of):
     res = compute_lgocv(model, grid, groups, gas=gas)
     assert not res.skipped and len(res.indices) == model.n_obs
     assert np.isfinite(res.utility) and np.all(np.isfinite(res.log_score))
-    for i in (0, 1, 5, 12, 29):
-        I = groups[i]
-        lgm = downdate(eta_covariance(ga, I), ga)
-        oracle = dense_downdate_oracle(model, grid.mode, I, ga=ga)
-        scale = max(np.abs(oracle.mu).max(), np.abs(oracle.sigma).max(), 1.0)
-        assert np.abs(lgm.mu - oracle.mu).max() <= VERIFY_TOL * scale
-        assert np.abs(lgm.sigma - oracle.sigma).max() <= VERIFY_TOL * scale
+    members = list({tuple(groups[i]): groups[i] for i in (0, 1, 5, 12, 29)}.values())
+    lg = leave_group_moments(ga, members)
+    assert not lg.reasons
+    for gs, mu, sigma in lg.stacks:
+        for g, mu_g, sigma_g in zip(gs, mu, sigma):
+            oracle = dense_downdate_oracle(model, grid.mode, members[g], ga=ga)
+            scale = max(np.abs(oracle.mu).max(), np.abs(oracle.sigma).max(), 1.0)
+            assert np.abs(mu_g - oracle.mu).max() <= VERIFY_TOL * scale
+            assert np.abs(sigma_g - oracle.sigma).max() <= VERIFY_TOL * scale

@@ -203,14 +203,14 @@ def test_loglik_obs_matches_vector_form():
     model = iid_identity_model(3, obs_prec=2.0, y=np.array([0.5, -0.5, 1.0]))
     hyper = model.hyper_dict(model.hyper_point(np.zeros(0)).values)
     y1 = np.full(5, model.y[1])
-    per_obs = model.subset_likelihood(np.full(5, 1)).log_density(y1, eta, hyper)
-    assert np.array_equal(per_obs, model.likelihood.log_density(y1, eta, hyper))
+    per_obs = model.subset_likelihood(np.full(5, 1)).observe(y1).log_density(eta, hyper)
+    assert np.array_equal(per_obs, model.likelihood.observe(y1).log_density(eta, hyper))
     model = LgmModel([Iid("u", 3, log_prec=1.0)], sp.identity(3, format="csr"),
                      Poisson(offset=np.array([1.0, 2.0, 3.0])),
                      np.array([0.0, 1.0, 2.0]))
     y1 = np.full(5, model.y[1])
-    per_obs = model.subset_likelihood(np.full(5, 1)).log_density(y1, eta, {})
-    assert np.array_equal(per_obs, Poisson(offset=2.0).log_density(y1, eta, {}))
+    per_obs = model.subset_likelihood(np.full(5, 1)).observe(y1).log_density(eta, {})
+    assert np.array_equal(per_obs, Poisson(offset=2.0).observe(y1).log_density(eta, {}))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -5,16 +5,13 @@ from scipy.stats import norm
 
 from lgocv.approx import build_theta_grid, find_mode
 from lgocv.components import Ar1
-from lgocv.covariance import eta_covariance
-from lgocv.engine import downdate
-from lgocv.groups import build_groups, CorrelationSource
+from lgocv.groups import build_groups, CorrelationSource, singleton_groups
 from lgocv.likelihoods import Gaussian
 from lgocv.model import LgmModel
 from lgocv.oracle import (OracleReport, dense_downdate_oracle, lfocv_curve,
-                          map_levels_to_steps, refit_predictive,
-                          refit_predictive_all)
+                          map_levels_to_steps, refit_predictive_all)
 
-from conftest import conjugate_pair, multilevel_poisson
+from conftest import conjugate_pair, leave_out, multilevel_poisson
 
 
 def ar1_only(n=40, rho=0.8, tau=1.0, obs_prec=4.0, seed=0):
@@ -50,7 +47,7 @@ def kalman_forecast_logpdf(y, t, k, rho, tau, obs_prec):
 
 def test_conjugate_refit_closed_form():
     model = conjugate_pair(0.0, 0.0)
-    dens = refit_predictive(model, 1, [1])
+    dens = refit_predictive_all(model, singleton_groups([1]), indices=[1])[1]
     assert dens == pytest.approx(norm.pdf(0.0, scale=np.sqrt(1.5)), abs=1e-12)
     assert dens == pytest.approx(0.3257350, abs=1e-6)
 
@@ -60,7 +57,7 @@ def test_refit_matches_engine_downdate_gaussian():
     theta = model.hyper_point(np.zeros(0))
     ga = find_mode(model, theta)
     I = [4, 5, 6]
-    lgm = downdate(eta_covariance(ga, I), ga)
+    lgm = leave_out(ga, I)
     sub = model.drop_observations(I)
     ga_sub = find_mode(sub, theta)
     x = ga_sub.constrain(ga_sub.solve(model.design[I].T.toarray()))
@@ -130,7 +127,8 @@ def test_refit_all_matches_per_observation():
     out = refit_predictive_all(model, groups, indices=[0, 1, 5, 9],
                                thetas=theta0)
     for i in (0, 1, 5, 9):
-        single = refit_predictive(model, i, groups[i], thetas=theta0)
+        single = refit_predictive_all(model, groups, indices=[i],
+                                      thetas=theta0)[i]
         assert out[i] == single
 
 
