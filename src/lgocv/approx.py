@@ -201,10 +201,13 @@ class GaussianApprox:
 
     Holds the constrained mode ``mu``, the factorized posterior precision
     Q_f = P_f + A' C A, the linearization (b, c) at the mode, and the
-    precomputed constraint solves shared by every group.  ``n_iter`` and
-    ``n_lu`` count the Newton iterations and sparse LU factorizations of the
-    fit.  Fields are immutable once published; the columns ``eta_covariance``
-    keeps on a fit are bitwise a fresh solve's, so concurrent use is safe.
+    precomputed constraint solves shared by every group.  ``solve`` (x ->
+    Q_f^-1 x) and ``constrain`` (``kriging`` onto the constraints, built on
+    first use) are closures that hold no reference to the fit, for one or
+    many right-hand sides.  ``n_iter`` and ``n_lu`` count the Newton
+    iterations and sparse LU factorizations of the fit.  Fields are
+    immutable once published; the columns ``eta_covariance`` keeps on a fit
+    are bitwise a fresh solve's, so concurrent use is safe.
     """
 
     def __init__(self, model, theta, lin, g, P, n_iter, n_lu):
@@ -218,26 +221,15 @@ class GaussianApprox:
         self.P = P
         self.n_iter = n_iter
         self.n_lu = n_lu
-        self._solve = lin.solve
+        self.solve = lin.solve
         self.eta_star = model.design @ lin.mu
         self.log_det_q = float(np.sum(np.log(np.abs(lin.pivots))))
         self.constraint_w = lin.constraint_w
         self.constraint_gram = lin.constraint_gram
         self.constraint_cho = lin.constraint_cho
 
-    def solve(self, rhs):
-        """Q_f x = rhs for one or many right-hand sides."""
-        rhs = np.asarray(rhs, dtype=float)
-        squeeze = rhs.ndim == 1
-        x = self._solve(rhs if not squeeze else rhs[:, None])
-        return x[:, 0] if squeeze else x
-
-    def constrain(self, x):
-        """Propagate linear constraints: x - Q^{-1}C'(CQ^{-1}C')^{-1} C x."""
-        return self._kriging(x)
-
     @cached_property
-    def _kriging(self):
+    def constrain(self):
         return kriging(_fit_plan(self.model).constraint_rows, self.constraint_w,
                        self.constraint_cho)
 
@@ -335,7 +327,7 @@ def find_mode(model, theta, init=None):
             # refresh the linearization at the accepted point: one LU per
             # Newton step plus this one
             lin = _linearize(plan, p_data, At, C_e, eta, g1, g2, final=True)
-            g_m = model.loglik(theta, A @ lin.mu)
+            g_m = model.loglik_derivatives(theta, A @ lin.mu)[0]
             return GaussianApprox(model, theta, lin, g=g_m, P=P, n_iter=it,
                                   n_lu=it + 1)
 

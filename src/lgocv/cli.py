@@ -292,7 +292,7 @@ def cmd_verify(args):
     report.write_csv(os.path.join(args.out, "oracle_report.csv"))
     worst = report.errors.max() if len(report.rows) else float("nan")
     print(f"verification {'PASSED' if report.passed else 'FAILED'}: "
-          f"{len(report.rows)} cases, worst error {worst:.3e} "
+          f"{args.cases} cases, worst error {worst:.3e} "
           f"(tolerance {report.tolerance:.1e})")
     return 0 if report.passed else 1
 

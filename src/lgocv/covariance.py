@@ -44,6 +44,13 @@ def row_slabs(A):
         yield J, A if w >= k else A[J]
 
 
+def _quad(AJ, X):
+    """diag(AJ X) for a CSR row block AJ and dense columns X: each row's
+    products summed in stored order, as ``AJ.multiply(X.T).sum(axis=1)``."""
+    rows = np.repeat(np.arange(AJ.shape[0]), np.diff(AJ.indptr))
+    return np.bincount(rows, weights=AJ.data * X[AJ.indices, rows], minlength=AJ.shape[0])
+
+
 @dataclass(frozen=True)
 class EtaMoments:
     """Mean and covariance of eta_I given (theta, y); ``solved`` RHS columns."""

@@ -181,14 +181,13 @@ def gh_log_predictive(model, theta, idx, mean, var, order=DEFAULT_GH_ORDER):
     Adaptive Gauss-Hermite: nodes are centered at the mode of the integrand
     and scaled by its curvature there, which makes the rule exact when the
     likelihood is Gaussian however narrow it is relative to N(mean, var).
-    Scalar ``idx``, ``mean`` and ``var`` give a float; arrays of equal
-    length give one value per entry, from one batched Newton.  The
-    likelihood's data-only terms are computed once for every node.
+    ``idx``, ``mean`` and ``var`` are arrays of equal length; one batched
+    Newton gives one value per entry.  The likelihood's data-only terms are
+    computed once for every node.
     """
-    scalar = np.ndim(idx) == 0
-    idx = np.atleast_1d(np.asarray(idx, dtype=int))
-    mean = np.atleast_1d(np.asarray(mean, dtype=float))
-    var = np.atleast_1d(np.asarray(var, dtype=float))
+    idx = np.asarray(idx, dtype=int)
+    mean = np.asarray(mean, dtype=float)
+    var = np.asarray(var, dtype=float)
     if np.any(var <= 0):
         raise DowndateError(DEGENERATE_VARIANCE)
     hyper = model.hyper_dict(getattr(theta, "values", theta))
@@ -200,9 +199,8 @@ def gh_log_predictive(model, theta, idx, mean, var, order=DEFAULT_GH_ORDER):
             - 0.5 * (eta - mean) ** 2 / var + (nodes ** 2)[:, None])
     mx = logf.max(axis=0)
     log_sum = mx + np.log(wts @ np.exp(logf - mx))
-    out = (log_sum + 0.5 * np.log(2.0 * scale ** 2)
-           - 0.5 * np.log(2.0 * np.pi * var))
-    return float(out[0]) if scalar else out
+    return (log_sum + 0.5 * np.log(2.0 * scale ** 2)
+            - 0.5 * np.log(2.0 * np.pi * var))
 
 
 @dataclass

@@ -29,7 +29,7 @@ import scipy.sparse as sp
 from scipy.linalg import cho_factor, cho_solve
 
 from .approx import _pairs, _splu, kriging
-from .covariance import RHS_BATCH, row_slabs
+from .covariance import RHS_BATCH, _quad, row_slabs
 
 log = logging.getLogger(__name__)
 
@@ -77,13 +77,6 @@ class GroupSpec:
 
     def all_singletons(self):
         return all(len(v) == 1 for v in self.groups.values())
-
-
-def _quad(AJ, X):
-    """diag(AJ X) for a CSR row block AJ and dense columns X: each row's
-    products summed in stored order, as ``AJ.multiply(X.T).sum(axis=1)``."""
-    rows = np.repeat(np.arange(AJ.shape[0]), np.diff(AJ.indptr))
-    return np.bincount(rows, weights=AJ.data * X[AJ.indices, rows], minlength=AJ.shape[0])
 
 
 class _SparseCorrEngine:
@@ -239,8 +232,7 @@ def _restrict_constraints(model, cols):
 def _make_engine(source, ga):
     model = ga.model
     if source.kind == "posterior":
-        # not the fit's bound methods, which would tie fit and engine in a cycle
-        return _SparseCorrEngine(model.design, ga._solve, ga._kriging)
+        return _SparseCorrEngine(model.design, ga.solve, ga.constrain)
 
     comps = _selected_components(model, source.subset)
     cols = np.concatenate([model.offsets[c.name] + np.arange(c.size) for c in comps])

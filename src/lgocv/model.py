@@ -214,11 +214,6 @@ class LgmModel:
         with np.errstate(over="ignore"):
             return self._observed.derivatives(eta, hyper)
 
-    def loglik(self, theta, eta):
-        """Log likelihood value per observation at linear predictors eta."""
-        hyper = self.hyper_dict(getattr(theta, "values", theta))
-        return self._observed.log_density(np.asarray(eta, dtype=float), hyper)
-
     def subset_likelihood(self, idx):
         """Likelihood family restricted to observations ``idx``."""
         fam = self.likelihood
@@ -232,12 +227,6 @@ class LgmModel:
         if hasattr(fam, "precision"):
             kw["precision"] = fam.precision
         return type(fam)(**kw)
-
-    def drop_observations(self, idx):
-        """New model with observations ``idx`` removed (components shared)."""
-        idx = np.asarray(idx, dtype=int)
-        keep = np.setdiff1d(np.arange(self.n_obs), idx)
-        return self.keep_observations(keep)
 
     def keep_observations(self, keep):
         keep = np.asarray(keep, dtype=int)

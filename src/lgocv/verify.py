@@ -71,7 +71,7 @@ def run_verification(cases=50, seed=0, tolerance=VERIFY_TOL):
     drawn again; each case reports its worst scaled mu and sigma errors.
     """
     rng = np.random.default_rng(seed)
-    report = OracleReport(tolerance=tolerance, relative=False)
+    report = OracleReport(tolerance=tolerance)
     done = 0
     while done < cases:
         model = random_model(rng)
@@ -95,7 +95,7 @@ def run_verification(cases=50, seed=0, tolerance=VERIFY_TOL):
                 scale = max(np.abs(oracle.mu).max(), np.abs(oracle.sigma).max(), 1.0)
                 mu_err = max(mu_err, np.abs(mu_g - oracle.mu).max() / scale)
                 sig_err = max(sig_err, np.abs(sigma_g - oracle.sigma).max() / scale)
-        report.add(f"case{done}:mu", mu_err, 0.0)
-        report.add(f"case{done}:sigma", sig_err, 0.0)
+        report.add(done, "mu", mu_err)
+        report.add(done, "sigma", sig_err)
         done += 1
     return report

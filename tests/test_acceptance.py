@@ -160,8 +160,8 @@ def test_criterion_6_property_suite(ar1_setup):
     # quadrature-order doubling stability
     toy = multilevel_poisson(seed=1, classes=2, per_class=3)
     theta = toy.hyper_point(np.zeros(0))
-    q_err = max(abs(gh_log_predictive(toy, theta, i, 2.0, 0.5, order=15)
-                    - gh_log_predictive(toy, theta, i, 2.0, 0.5, order=30))
+    q_err = max(abs(gh_log_predictive(toy, theta, [i], [2.0], [0.5], order=15)
+                    - gh_log_predictive(toy, theta, [i], [2.0], [0.5], order=30))[0]
                 for i in range(toy.n_obs))
     checks.append(("quadrature doubling", q_err <= 1e-6))
 

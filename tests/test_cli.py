@@ -533,13 +533,15 @@ def test_groups_degenerate_prior_subset_exits_2(tmp_path, capsys):
     assert main(args) == 0
 
 
-def test_verify_small_run(tmp_path):
+def test_verify_small_run(tmp_path, capsys):
     out = tmp_path / "verify"
     assert main(["verify", "--cases", "3", "--seed", "1",
                  "--out", str(out)]) == 0
+    assert "verification PASSED: 3 cases" in capsys.readouterr().out
     report = (out / "oracle_report.csv").read_text().strip().splitlines()
-    assert report[0] == "case,engine,oracle,abs_error,rel_error,pass"
-    assert len(report) > 1
+    assert report[0] == "case,quantity,error,pass"
+    assert [r.split(",")[:2] for r in report[1:]] == [
+        [str(case), q] for case in range(3) for q in ("mu", "sigma")]
     assert all(r.endswith(",1") for r in report[1:])
 
 
@@ -557,7 +559,7 @@ def test_verify_fails_when_the_cv_path_is_off(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(engine, "_downdate_stack", shifted)
     assert not run_verification(cases=5).passed
     assert main(["verify", "--cases", "5", "--out", str(tmp_path)]) == 1
-    assert "verification FAILED: 10 cases" in capsys.readouterr().out
+    assert "verification FAILED: 5 cases" in capsys.readouterr().out
 
 
 def _assert_help(command, env=None):

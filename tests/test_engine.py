@@ -111,16 +111,16 @@ def test_gh_exact_for_gaussian_likelihood():
     model = iid_identity_model(1, obs_prec=tau, y=np.array([1.3]))
     theta = model.hyper_point(np.zeros(0))
     for var in (1e-4, 1e-2, 1.0, 25.0):
-        got = gh_log_predictive(model, theta, 0, mean=0.4, var=var)
+        got = gh_log_predictive(model, theta, [0], mean=[0.4], var=[var])
         want = norm.logpdf(1.3, loc=0.4, scale=np.sqrt(var + 1.0 / tau))
-        assert got == pytest.approx(want, abs=1e-12)
+        assert got[0] == pytest.approx(want, abs=1e-12)
 
 
 def test_gh_rejects_degenerate_variance():
     model = iid_identity_model(1)
     theta = model.hyper_point(np.zeros(0))
     with pytest.raises(DowndateError):
-        gh_log_predictive(model, theta, 0, mean=0.0, var=0.0)
+        gh_log_predictive(model, theta, [0], mean=[0.0], var=[0.0])
 
 
 def test_conjugate_predictive_closed_form():
@@ -183,9 +183,9 @@ def test_quadrature_order_converged():
                      Poisson(offset=2.0), [3.0])
     theta = model.hyper_point(np.zeros(0))
     for mean, var in [(0.3, 2.0), (-1.0, 0.5), (1.5, 4.0)]:
-        a = gh_log_predictive(model, theta, 0, mean, var, order=15)
-        b = gh_log_predictive(model, theta, 0, mean, var, order=31)
-        assert abs(a - b) <= 1e-5
+        a = gh_log_predictive(model, theta, [0], [mean], [var], order=15)
+        b = gh_log_predictive(model, theta, [0], [mean], [var], order=31)
+        assert abs(a[0] - b[0]) <= 1e-5
 
 
 def test_singleton_lgocv_is_loocv_bitwise():
@@ -278,8 +278,8 @@ def _per_observation_reason(model, gas, i, I):
     for ga in gas:
         try:
             lgm = leave_out(ga, I)
-            gh_log_predictive(model, ga.theta, i, lgm.mu[pos],
-                              lgm.sigma[pos, pos])
+            gh_log_predictive(model, ga.theta, [i], lgm.mu[[pos]],
+                              [lgm.sigma[pos, pos]])
         except DowndateError as exc:
             return str(exc)
     return None
@@ -360,15 +360,17 @@ ARRAY_CASES = {
 
 @pytest.mark.parametrize("name", list(ARRAY_CASES))
 def test_array_quadrature_matches_scalar_calls(name):
+    """Each entry of a batch equals a call on that entry alone, a length-1
+    array (the form that took the place of a scalar call)."""
     model = ARRAY_CASES[name]
     theta = model.hyper_point(np.zeros(0))
     idx = np.array([0, 1, 2, 3, 2, 0])
     mean = np.array([0.1, -0.7, 1.9, 0.4, -2.0, 3.0])
     var = np.array([0.5, 4.0, 1e-3, 9.0, 0.2, 1e-6])
     got = gh_log_predictive(model, theta, idx, mean, var)
-    want = [gh_log_predictive(model, theta, int(i), m, v)
-            for i, m, v in zip(idx, mean, var)]
-    assert isinstance(want[0], float)
+    want = np.concatenate([gh_log_predictive(model, theta, idx[[n]], mean[[n]],
+                                             var[[n]]) for n in range(idx.size)])
+    assert got.shape == want.shape == idx.shape
     np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13)
 
 
@@ -847,8 +849,8 @@ def test_m_sweep_solves_each_member_about_once(make, name, ms):
     gas = fit_grid_approximations(model, grid)
     solved = []
     for ga in gas:
-        inner = ga._solve
-        ga._solve = lambda rhs, inner=inner: solved.append(rhs.shape[1]) or inner(rhs)
+        inner = ga.solve
+        ga.solve = lambda rhs, inner=inner: solved.append(rhs.shape[1]) or inner(rhs)
     test = list(range(model.n_obs))[-40:]
     source = CorrelationSource("prior", (name,))
     bound, last = 0, None

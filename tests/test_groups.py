@@ -745,4 +745,4 @@ def test_quad_sums_each_row_as_the_broadcasting_product():
         X = rng.normal(size=(p, k)) * 10 ** rng.uniform(-3, 3, size=(p, k))
         X = np.asfortranarray(X) if trial % 2 else X
         want = np.asarray(AJ.multiply(X.T).sum(axis=1)).ravel()
-        assert lgocv.groups._quad(AJ, X).tobytes() == want.tobytes()
+        assert lgocv.covariance._quad(AJ, X).tobytes() == want.tobytes()

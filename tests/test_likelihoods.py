@@ -188,7 +188,6 @@ def test_data_terms_computed_once_equal_the_inline_formulas(model_of, monkeypatc
         want = inline(model.y, data, eta)
         got = model.loglik_derivatives(theta, eta)
         assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
-        assert model.loglik(theta, eta).tobytes() == want[0].tobytes()
         idx = rng.integers(0, model.n_obs, size=12)
         sub = model.subset_likelihood(idx).observe(model.y[idx])
         want = inline(model.y[idx], data[idx], eta[idx])

@@ -5,13 +5,14 @@ from scipy.stats import norm
 
 from lgocv.approx import build_theta_grid, find_mode
 from lgocv.components import Ar1
-from lgocv.groups import build_groups, CorrelationSource, singleton_groups
+from lgocv.engine import gh_log_predictive
+from lgocv.groups import build_groups, CorrelationSource, GroupSpec, singleton_groups
 from lgocv.likelihoods import Gaussian
 from lgocv.model import LgmModel
 from lgocv.oracle import (OracleReport, dense_downdate_oracle, lfocv_curve,
                           map_levels_to_steps, refit_predictive_all)
 
-from conftest import conjugate_pair, leave_out, multilevel_poisson
+from conftest import besag_lattice, conjugate_pair, leave_out, multilevel_poisson
 
 
 def ar1_only(n=40, rho=0.8, tau=1.0, obs_prec=4.0, seed=0):
@@ -58,7 +59,7 @@ def test_refit_matches_engine_downdate_gaussian():
     ga = find_mode(model, theta)
     I = [4, 5, 6]
     lgm = leave_out(ga, I)
-    sub = model.drop_observations(I)
+    sub = model.keep_observations(np.setdiff1d(np.arange(model.n_obs), I))
     ga_sub = find_mode(sub, theta)
     x = ga_sub.constrain(ga_sub.solve(model.design[I].T.toarray()))
     mu_refit = model.design[I] @ ga_sub.mu
@@ -134,18 +135,50 @@ def test_refit_all_matches_per_observation():
 
 def test_oracle_report_verdict_and_csv(tmp_path):
     rep = OracleReport(tolerance=1e-3)
-    rep.add("a", 1.0, 1.0 + 1e-5)
-    rep.add("b", 2.0, 2.0)
+    assert not rep.passed                # no rows, no verdict
+    rep.add(0, "mu", 1e-5)
+    rep.add(0, "sigma", 0.0)
     assert rep.passed
-    rep.add("c", 1.0, 1.1)
+    rep.add(1, "mu", 0.1)
     assert not rep.passed
     path = tmp_path / "report.csv"
     rep.write_csv(str(path))
     lines = path.read_text().strip().splitlines()
-    assert lines[0] == "case,engine,oracle,abs_error,rel_error,pass"
-    assert len(lines) == 4
-    assert lines[-1].endswith(",0")
+    assert lines == ["case,quantity,error,pass", "0,mu,1e-05,1",
+                     "0,sigma,0.0,1", "1,mu,0.1,0"]
 
-    absolute = OracleReport(tolerance=1e-6, relative=False)
-    absolute.add("d", 1e-9, 0.0)        # zero oracle: relative would blow up
-    assert absolute.passed
+
+def _one_target(model, ga_sub, theta, t):
+    """log pi(y_t | the data of ga_sub) by a length-1 solve and quadrature."""
+    row = model.design[[t]]
+    x = ga_sub.constrain(ga_sub.solve(row.T.toarray()))
+    return gh_log_predictive(model, theta, [t], row @ ga_sub.mu, (row @ x)[0])[0]
+
+
+def test_batched_oracles_match_a_loop_of_length_1_calls():
+    """Scoring every target of a refit at once gives, within 1e-14, what
+    one solve and one quadrature per target give: a group of three targets
+    (and a singleton) over two theta points, and three steps ahead that
+    share each horizon."""
+    model = besag_lattice(side=4, log_prec="lp")
+    shared = np.array([0, 1, 4])
+    groups = GroupSpec({0: shared, 1: shared, 4: shared, 7: np.array([7])})
+    thetas = np.array([[-0.5], [0.5]])
+    got = refit_predictive_all(model, groups, thetas=thetas)
+    assert list(got) == [0, 1, 4, 7]
+    for i in got:
+        sub = model.keep_observations(np.setdiff1d(np.arange(model.n_obs), groups[i]))
+        want = 0.0
+        for theta in thetas:
+            hp = sub.hyper_point(theta)
+            want += 0.5 * np.exp(_one_target(model, find_mode(sub, hp), hp, i))
+        assert got[i] == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    model, _ = ar1_only(n=30)
+    steps, tests = [1, 2, 3], list(range(20, 30))
+    curve = lfocv_curve(model, steps, tests)
+    theta = model.hyper_point(np.zeros(0))
+    for k in steps:
+        want = sum(_one_target(model, find_mode(model.keep_observations(
+            np.arange(t - k + 1)), theta), theta, t) for t in tests) / len(tests)
+        assert curve[k] == pytest.approx(want, rel=1e-14, abs=0.0)
