@@ -66,20 +66,6 @@ def _splu(Q, permc_spec=None, pivots=True):
     return lu, _finite(lu.U.diagonal()) if pivots else None
 
 
-def _unique(codes):
-    """Sorted distinct codes and the index of each code among them.
-
-    ``np.unique(codes, return_inverse=True)`` by one stable sort; numpy's
-    own (hash-based in numpy 2) is many times slower on these arrays.
-    """
-    order = np.argsort(codes, kind="stable")
-    ranked = codes[order]
-    first = np.concatenate(([True], ranked[1:] != ranked[:-1]))
-    inverse = np.empty(codes.size, dtype=np.intp)
-    inverse[order] = np.cumsum(first) - 1
-    return ranked[first], inverse
-
-
 def _pairs(indptr):
     """(segment, entry a, entry b) for every ordered pair of stored entries
     within each segment of a compressed index pointer: segments ascending,
@@ -106,7 +92,7 @@ class _DesignTerms:
         self.rows, first, second = _pairs(A.indptr)
         self.a_j, self.a_k = A.data[first], A.data[second]
         codes = A.indices[second].astype(np.int64) * self.p + A.indices[first]
-        self.codes, self.inverse = _unique(codes)
+        self.codes, self.inverse = np.unique(codes, return_inverse=True)
 
 
 class _FitPlan:
@@ -129,8 +115,8 @@ class _FitPlan:
         self.constraint_rows = None if C is None else sp.csr_matrix(C[0])
         t = self.terms = _DesignTerms(model.design)
         prior = model.prior_pattern.tocoo()
-        self.codes, at = _unique(np.concatenate(
-            [t.codes, prior.col.astype(np.int64) * t.p + prior.row]))
+        codes = np.concatenate([t.codes, prior.col.astype(np.int64) * t.p + prior.row])
+        self.codes, at = np.unique(codes, return_inverse=True)
         self.pos = at[:t.codes.size][t.inverse]
         self.p_pos = at[t.codes.size:]
         self.indices = (self.codes % t.p).astype(np.int32)
@@ -222,7 +208,6 @@ class GaussianApprox:
         self.n_iter = n_iter
         self.n_lu = n_lu
         self.solve = lin.solve
-        self.eta_star = model.design @ lin.mu
         self.log_det_q = float(np.sum(np.log(np.abs(lin.pivots))))
         self.constraint_w = lin.constraint_w
         self.constraint_gram = lin.constraint_gram

@@ -220,7 +220,7 @@ def _simulate_multilevel(args, outdir):
     grid = build_theta_grid(model, args.theta_grid_step)
     gas = fit_grid_approximations(model, grid)
     spec = build_groups(CorrelationSource("posterior"),
-                        _mode_fit(model, grid, gas), m=args.m)
+                        _mode_fit(model, grid, gas), m=args.m, tie_tol=args.tie_tol)
     result = compute_lgocv(model, grid, spec, gas=gas, gh_order=args.gh_order)
 
     oracle = refit_predictive_all(model, spec, result.indices,
@@ -318,7 +318,9 @@ def build_parser():
                         default="posterior")
         sp.add_argument("--prior-subset",
                         help="comma-separated component names for the prior source")
-        sp.add_argument("--tie-tol", type=float, default=1e-8)
+        sp.add_argument("--tie-tol", type=float, default=1e-8,
+                        help="relative |corr| gap that ties values into one "
+                             "level set (finite, >= 0; default 1e-8)")
 
     fit = sub.add_parser("fit", help="fit the model and store the theta grid")
     add_model_io(fit)
@@ -339,8 +341,9 @@ def build_parser():
     cv = sub.add_parser("cv", help="compute LOOCV/LGOCV")
     add_model_io(cv)
     add_group_opts(cv)
-    cv.add_argument("--m", type=int)
-    cv.add_argument("--groups-in")
+    given_groups = cv.add_mutually_exclusive_group()
+    given_groups.add_argument("--m", type=int)
+    given_groups.add_argument("--groups-in")
     cv.add_argument("--groups-out")
     cv.add_argument("--gh-order", type=int, default=DEFAULT_GH_ORDER)
     cv.add_argument("--test-range")
@@ -352,7 +355,9 @@ def build_parser():
     si = sub.add_parser("simulate", help="run a simulation study")
     si.add_argument("--scenario", required=True)
     si.add_argument("--seed", type=int, default=0)
-    si.add_argument("--m", type=int, default=1)
+    si.add_argument("--m", type=int, default=1,
+                    help="level sets per group in the multilevel scenarios "
+                         "(default 1); ar1-forecast sweeps m = 1..10")
     si.add_argument("--gh-order", type=int, default=DEFAULT_GH_ORDER)
     si.add_argument("--tie-tol", type=float, default=1e-8)
     add_grid_step(si)

@@ -295,12 +295,11 @@ class Besag(_IntrinsicStructure):
     @cached_property
     def _structure(self):
         s = self.size
-        R = sp.lil_matrix((s, s))
-        for i, nbrs in enumerate(self.adjacency):
-            R[i, i] = len(nbrs)
-            for j in nbrs:
-                R[i, j] = -1.0
-        return R.tocsc()
+        degree = [len(nbrs) for nbrs in self.adjacency]
+        rows = np.repeat(np.arange(s), degree)
+        cols = np.array([j for nbrs in self.adjacency for j in nbrs], dtype=int)
+        R = sp.csc_matrix((np.full(rows.size, -1.0), (rows, cols)), shape=(s, s))
+        return (R + sp.diags(np.array(degree, dtype=float))).tocsc()
 
     def constraint_rows(self):
         rows = []

@@ -195,7 +195,7 @@ def gh_log_predictive(model, theta, idx, mean, var, order=DEFAULT_GH_ORDER):
     eta_hat, scale = _integrand_modes(fam, hyper, mean, var)
     nodes, wts = _gauss_hermite(order)
     eta = eta_hat + np.sqrt(2.0) * scale * nodes[:, None]     # (order, n)
-    logf = (np.array([fam.log_density(e, hyper) for e in eta])
+    logf = (fam.log_density(eta, hyper)
             - 0.5 * (eta - mean) ** 2 / var + (nodes ** 2)[:, None])
     mx = logf.max(axis=0)
     log_sum = mx + np.log(wts @ np.exp(logf - mx))

@@ -323,6 +323,9 @@ def build_groups(source, ga, m, tie_tol=1e-8, indices=None):
     """Algorithm: per-observation union of the top-m correlation level sets."""
     if m < 1:
         raise GroupingError("level-set count m must be >= 1")
+    if not 0 <= tie_tol < np.inf:
+        # below 0 an observation's own |corr| of 1 can leave its first level set
+        raise GroupingError(f"tie tolerance must be finite and >= 0, got {tie_tol!r}")
     n = ga.model.n_obs
     idx = np.arange(n) if indices is None else np.asarray(indices, dtype=int)
     if idx.size and not (0 <= idx.min() and idx.max() < n):

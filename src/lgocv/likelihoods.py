@@ -49,8 +49,6 @@ class Gaussian:
     precision: float | str = 1.0
 
     kind = "gaussian"
-    n_trials = None
-    offset = None
 
     def validate(self, y):
         """Every finite response is in the support."""
@@ -80,7 +78,6 @@ class Poisson:
     offset: np.ndarray | float = 1.0
 
     kind = "poisson"
-    n_trials = None
 
     def validate(self, y):
         if np.any(y < 0) or np.any(y != np.floor(y)):
@@ -110,7 +107,6 @@ class Binomial:
     n_trials: np.ndarray | float = 1.0
 
     kind = "binomial"
-    offset = None
 
     def validate(self, y):
         n = _as_vector(self.n_trials, np.size(y), "n_trials")
@@ -139,8 +135,6 @@ class Exponential:
     """Exponential responses with mean exp(eta), i.e. rate exp(-eta)."""
 
     kind = "exponential"
-    n_trials = None
-    offset = None
 
     def validate(self, y):
         if np.any(y <= 0):

@@ -7,7 +7,7 @@ an internal unconstrained scale (log precisions, atanh correlations).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 
 import numpy as np
@@ -112,6 +112,7 @@ class LgmModel:
             raise ModelError(f"no HyperSpec for hyperparameters: {sorted(missing)}")
         self.free_hypers = tuple(h for h in self.hypers if h.fixed is None)
 
+        self.extra_constraints = extra_constraints
         # auto sum-to-zero rows for intrinsic blocks, then user rows
         rows, vals = [], []
         for c in self.components:
@@ -215,27 +216,15 @@ class LgmModel:
             return self._observed.derivatives(eta, hyper)
 
     def subset_likelihood(self, idx):
-        """Likelihood family restricted to observations ``idx``."""
+        """Likelihood family restricted to observations ``idx``: every
+        per-observation (1-D) field indexed, scalars and names kept."""
         fam = self.likelihood
-        kw = {}
-        if fam.offset is not None:
-            E = np.asarray(fam.offset, dtype=float)
-            kw["offset"] = E[idx] if E.ndim else E
-        if fam.n_trials is not None:
-            nt = np.asarray(fam.n_trials, dtype=float)
-            kw["n_trials"] = nt[idx] if nt.ndim else nt
-        if hasattr(fam, "precision"):
-            kw["precision"] = fam.precision
-        return type(fam)(**kw)
+        data = {f.name: getattr(fam, f.name) for f in fields(fam)}
+        return replace(fam, **{k: np.asarray(v)[idx] for k, v in data.items()
+                               if np.ndim(v) == 1})
 
     def keep_observations(self, keep):
         keep = np.asarray(keep, dtype=int)
-        extra = None
-        if self.constraints is not None:
-            n_auto = sum(len(c.constraint_rows()) for c in self.components)
-            C, e = self.constraints
-            if C.shape[0] > n_auto:
-                extra = (C[n_auto:], e[n_auto:])
         return LgmModel(self.components, self.design[keep], self.subset_likelihood(keep),
-                        self.y[keep], self.hypers, extra)
+                        self.y[keep], self.hypers, self.extra_constraints)
 

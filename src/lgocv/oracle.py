@@ -104,8 +104,9 @@ def dense_downdate_oracle(model, theta, I, ga=None):
 
     Uses the full-data linearization (b, C) like the engine, but works in
     the latent space with dense matrices, validating both the downdate and
-    the entry-by-entry covariance path.  Linear constraints C f = e are
-    solved in the null space Z of C, through a Cholesky of Z' Qd Z: with an
+    the entry-by-entry covariance path.  It solves by Cholesky and never
+    inverts.  Linear constraints C f = e are solved in the null space Z of
+    C, through a Cholesky of Z' Qd Z rather than of Qd: with an
     intrinsic block and a vague intercept, Qd itself is near singular along
     the direction the constraint removes, and inverting it first loses
     digits (1.2e-9 on a Poisson RW1 group of five).
@@ -120,9 +121,9 @@ def dense_downdate_oracle(model, theta, I, ga=None):
     Qd = P + (A * ga.c[:, None]).T @ A - (AI * ga.c[I][:, None]).T @ AI
     r = A.T @ ga.b - AI.T @ ga.b[I]
     if model.constraints is None:
-        sigma_f = np.linalg.inv(Qd)
-        mu_f = sigma_f @ r
-        sigma = AI @ sigma_f @ AI.T
+        cho = cho_factor(Qd)
+        mu_f = cho_solve(cho, r)
+        sigma = AI @ cho_solve(cho, AI.T)
     else:
         C, e = model.constraints
         f0 = np.linalg.lstsq(C, e, rcond=None)[0]     # any point with C f0 = e

@@ -473,6 +473,43 @@ def test_simulate_refits_on_the_engine_grid_step(tmp_path, monkeypatch):
     assert len(steps) > 1 and set(steps) == {0.5}
 
 
+def test_simulate_passes_the_tie_tolerance_to_build_groups(tmp_path, monkeypatch):
+    from lgocv import cli
+    seen = []
+
+    class Stop(Exception):
+        pass
+
+    def recorded(source, ga, m, tie_tol=1e-8, indices=None):
+        seen.append(tie_tol)
+        raise Stop
+
+    monkeypatch.setattr(cli, "build_groups", recorded)
+    with pytest.raises(Stop):
+        main(["simulate", "--scenario", "multilevel-binomial", "--tie-tol", "0.01",
+              "--out", str(tmp_path)])
+    assert seen == [0.01]
+
+
+def test_groups_refuses_a_negative_tie_tolerance(tmp_path, capsys):
+    spec, data = class_files(tmp_path)
+    gpath = tmp_path / "g.txt"
+    assert main(["groups", "--model", spec, "--data", data, "--m", "1",
+                 "--tie-tol", "-1", "--groups-out", str(gpath)]) == 2
+    assert "error: tie tolerance must be finite and >= 0" in capsys.readouterr().err
+    assert not gpath.exists()
+
+
+def test_cv_refuses_groups_in_together_with_m(tmp_path, capsys):
+    spec, data = class_files(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["cv", "--model", spec, "--data", data, "--groups-in", "g.txt",
+              "--m", "1", "--out", str(tmp_path / "cv")])
+    assert exc.value.code == 2
+    assert "argument --m: not allowed with argument --groups-in" in capsys.readouterr().err
+    assert not (tmp_path / "cv").exists()
+
+
 def test_simulate_refuses_a_group_that_holds_all_data(tmp_path, capsys):
     """At m = 2 every multilevel-gaussian group spans all 100 observations,
     which leaves the refit oracle nothing to refit on."""

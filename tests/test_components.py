@@ -52,6 +52,23 @@ def test_intrinsic_null_space():
                                  Rw2("u", 6), Besag("sp", adj))] == [1, 1, 2, 2]
 
 
+@pytest.mark.parametrize("adj", [
+    [{1}, {0, 3}, set(), {1}],
+    [set(), set()],
+    [{(i - 1) % 9, (i + 1) % 9, (i + 3) % 9, (i - 3) % 9} for i in range(9)],
+], ids=["isolated-node", "no-edges", "circulant"])
+def test_besag_structure_stores_degrees_and_neighbours_only(adj):
+    """Degree on the diagonal and -1 per neighbour, in canonical CSC with no
+    stored zero: an isolated node's diagonal holds nothing."""
+    R = Besag("sp", adj)._structure
+    want = np.diag([float(len(a)) for a in adj])
+    for i, a in enumerate(adj):
+        want[i, sorted(a)] = -1.0
+    assert R.format == "csc" and R.has_canonical_format
+    assert np.array_equal(dense(R), want)
+    assert R.nnz == np.count_nonzero(want)
+
+
 def test_intrinsic_logdet_matches_pseudo_det():
     for c in (Rw1("u", 5, log_prec=2.0), Rw2("u", 6, log_prec=0.5)):
         w = np.linalg.eigvalsh(dense(c.precision({})))

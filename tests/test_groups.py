@@ -732,6 +732,17 @@ def test_invalid_arguments():
             build_groups(POSTERIOR, ga, m=1, indices=[i])
 
 
+def test_tie_tolerance_must_be_finite_and_nonnegative():
+    """Below 0 (or nan) an observation's own |corr| of 1 can leave its first
+    level set; inf puts every observation in every group."""
+    ga = fitted(ar1_model())
+    for bad in (-1.0, np.nan, np.inf):
+        with pytest.raises(GroupingError, match="tie tolerance"):
+            build_groups(POSTERIOR, ga, m=1, tie_tol=bad)
+    spec = build_groups(POSTERIOR, ga, m=1, tie_tol=0.0)
+    assert all(i in spec[i] for i in spec.indices())
+
+
 def test_quad_sums_each_row_as_the_broadcasting_product():
     """``_quad`` sums each row's products in stored order, as scipy's
     ``AJ.multiply(X.T).sum(axis=1)`` does: the variances are bitwise equal

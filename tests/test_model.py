@@ -188,6 +188,46 @@ def test_drop_observations_keeps_extra_constraints():
     assert sub.constraints[1][0] == 0.5
 
 
+def test_keep_observations_passes_the_given_constraints_on():
+    """An intrinsic block's own rows come first, the given rows after them,
+    in the sub-model as in the model."""
+    C = np.zeros((1, 5))
+    C[0, :2] = [1.0, -1.0]
+    A = sp.hstack([sp.identity(4, format="csr"), sp.csr_matrix(np.ones((4, 1)))],
+                  format="csr")
+    model = LgmModel([Rw1("w", 4, log_prec=1.0), Iid("u", 1, log_prec=1.0)], A,
+                     Gaussian(), np.zeros(4), extra_constraints=(C, [0.5]))
+    sub = model.keep_observations([3, 0])
+    assert sub.constraints[0].shape == (2, 5)
+    assert np.array_equal(sub.constraints[0], model.constraints[0])
+    assert np.array_equal(sub.constraints[1], [0.0, 0.5])
+
+
+@pytest.mark.parametrize("family, field, value", [
+    (Gaussian(precision=2.5), "precision", 2.5),
+    (Gaussian(precision="lp"), "precision", "lp"),
+    (Poisson(offset=2.0), "offset", 2.0),
+    (Poisson(offset=np.array([1.0, 2.0, 3.0])), "offset", [3.0, 1.0]),
+    (Poisson(offset=[1.0, 2.0, 3.0]), "offset", [3.0, 1.0]),
+    (Binomial(n_trials=4.0), "n_trials", 4.0),
+    (Binomial(n_trials=np.array([4.0, 5.0, 6.0])), "n_trials", [6.0, 4.0]),
+    (Exponential(), "kind", "exponential"),
+], ids=lambda v: getattr(v, "kind", None))
+def test_subset_likelihood_indexes_per_observation_fields(family, field, value):
+    """Vector data are indexed; scalars and hyperparameter names are kept."""
+    y = np.array([1.0, 3.0, 2.0])
+    hypers = [HyperSpec("lp")] if value == "lp" else []
+    model = LgmModel([Iid("u", 3, log_prec=1.0)], sp.identity(3, format="csr"),
+                     family, y, hypers)
+    sub = model.subset_likelihood([2, 0])
+    assert type(sub) is type(family)
+    got = getattr(sub, field)
+    if np.ndim(value):
+        assert np.array_equal(got, value)
+    else:
+        assert got == value and type(got) is type(value)
+
+
 def test_subset_likelihood_slices_parameters():
     model = LgmModel([Iid("u", 3, log_prec=1.0)], sp.identity(3, format="csr"),
                      Poisson(offset=np.array([1.0, 2.0, 3.0])),
