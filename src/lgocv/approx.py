@@ -78,66 +78,51 @@ def _pairs(indptr):
     return seg, start + t // width, start + t % width
 
 
-class _DesignTerms:
-    """Every product a_ij c_i a_ik of A' diag(c) A, for one CSR design A.
-
-    Row i contributes one term per pair (j, k) of its stored entries, (k, j)
-    a pair of its own, and the terms run in ascending i: the order in which
-    scipy's sparse product sums them.  ``codes`` are the distinct output
-    positions k p + j (column-major); ``inverse`` maps each term to one.
-    """
-
-    def __init__(self, A):
-        self.p = A.shape[1]
-        self.rows, first, second = _pairs(A.indptr)
-        self.a_j, self.a_k = A.data[first], A.data[second]
-        codes = A.indices[second].astype(np.int64) * self.p + A.indices[first]
-        self.codes, self.inverse = np.unique(codes, return_inverse=True)
-
-
 class _FitPlan:
     """What every Newton fit of one model shares.
 
     ``hessian`` gives the values of Q(c) = P + A' diag(c) A on one pattern
     (``indices``, ``indptr``), the union of the model's ``prior_pattern``
-    and the design terms', indices sorted and exact zeros stored.  Each is
-    scipy's ``(P + A.T @ sp.diags(c) @ A)``: the products (a_ij c_i) a_ik
-    summed in ascending i, then P added.  The model's first LU runs COLAMD;
-    later ones write Q's values into one kept CSC shell on the pattern of
-    Q Pc, Pc that column ordering, factorize it with no ordering step, and
-    solve and pivot bitwise as a fresh ``splu`` of Q.  No LU keeps the
-    shell's values, but the shell makes ``find_mode`` non-reentrant per
-    model; nothing calls it concurrently.  ``constraint_rows`` is C as CSR.
+    and A's products, indices sorted and exact zeros stored.  Each is
+    scipy's ``(P + A.T @ sp.diags(c) @ A)``: one product (a_ij c_i) a_ik per
+    pair (j, k) of row i's stored entries, summed in ascending i, then P
+    added; ``pos`` and ``p_pos`` place each product and each entry of P.
+    The model's first LU runs COLAMD; later ones write Q's values into one
+    kept CSC shell on the pattern of Q Pc, Pc that column ordering,
+    factorize it with no ordering step, and solve and pivot bitwise as a
+    fresh ``splu`` of Q.  No LU keeps the shell's values, but the shell
+    makes ``find_mode`` non-reentrant per model; nothing calls it
+    concurrently.
     """
 
     def __init__(self, model):
-        C = model.constraints
-        self.constraint_rows = None if C is None else sp.csr_matrix(C[0])
-        t = self.terms = _DesignTerms(model.design)
+        A = model.design
+        self.p = p = A.shape[1]
+        self.rows, first, second = _pairs(A.indptr)
+        self.a_j, self.a_k = A.data[first], A.data[second]
         prior = model.prior_pattern.tocoo()
-        codes = np.concatenate([t.codes, prior.col.astype(np.int64) * t.p + prior.row])
-        self.codes, at = np.unique(codes, return_inverse=True)
-        self.pos = at[:t.codes.size][t.inverse]
-        self.p_pos = at[t.codes.size:]
-        self.indices = (self.codes % t.p).astype(np.int32)
-        self.indptr = np.searchsorted(self.codes // t.p, np.arange(t.p + 1)).astype(np.int32)
+        codes, at = np.unique(np.concatenate([
+            A.indices[second].astype(np.int64) * p + A.indices[first],
+            prior.col.astype(np.int64) * p + prior.row]), return_inverse=True)
+        self.pos, self.p_pos = at[:self.rows.size], at[self.rows.size:]
+        self.indices = (codes % p).astype(np.int32)
+        self.indptr = np.searchsorted(codes // p, np.arange(p + 1)).astype(np.int32)
         self.ordering = None
 
     def scatter(self, P):
         """P, on the model's ``prior_pattern``, placed on Q's pattern."""
-        return np.bincount(self.p_pos, weights=P.data, minlength=self.codes.size)
+        return np.bincount(self.p_pos, weights=P.data, minlength=self.indices.size)
 
     def hessian(self, c, p_data):
         """Q's values at curvatures c for the prior whose ``scatter`` is p_data."""
-        t = self.terms
-        return np.bincount(self.pos, weights=(t.a_j * c[t.rows]) * t.a_k,
+        return np.bincount(self.pos, weights=(self.a_j * c[self.rows]) * self.a_k,
                            minlength=p_data.size) + p_data
 
     def factorize(self, data, pivots=True):
         """(solve, pivots) for Q's values ``data``, as ``_splu``; the first LU orders."""
         if self.ordering is None:
             lu, pivots = _splu(sp.csc_matrix((data, self.indices, self.indptr),
-                                             shape=(self.terms.p,) * 2), pivots=pivots)
+                                             shape=(self.p,) * 2), pivots=pivots)
             self._keep(lu.perm_c.copy())   # a copy: perm_c is a view that pins the LU
             return lu.solve, pivots
         perm_c, take, shell = self.ordering
@@ -151,7 +136,7 @@ class _FitPlan:
         order = np.argsort(perm_c)
         counts = np.diff(self.indptr)[order]
         indptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int32)
-        take = np.repeat(self.indptr[order] - indptr[:-1], counts) + np.arange(self.codes.size)
+        take = np.repeat(self.indptr[order] - indptr[:-1], counts) + np.arange(self.indices.size)
         shell = sp.csc_matrix((np.empty(take.size), self.indices[take], indptr),
                               shape=(perm_c.size,) * 2)
         shell.has_canonical_format = True
@@ -215,8 +200,8 @@ class GaussianApprox:
 
     @cached_property
     def constrain(self):
-        return kriging(_fit_plan(self.model).constraint_rows, self.constraint_w,
-                       self.constraint_cho)
+        C = self.model.constraints
+        return kriging(C[0] if C else None, self.constraint_w, self.constraint_cho)
 
 
 def kriging(C, W, cho):

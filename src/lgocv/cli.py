@@ -14,14 +14,11 @@ import numpy as np
 from . import simulate as sim
 from .approx import (GRID_STEP, ThetaGrid, build_theta_grid, find_mode,
                      ModeFindingError, FactorizationError)
-from .components import ComponentError
 from .engine import compute_lgocv, fit_grid_approximations, DEFAULT_GH_ORDER
-from .groups import (CorrelationSource, GroupingError, build_groups,
-                     read_groups, singleton_groups, write_groups)
-from .likelihoods import LikelihoodError
-from .model import ModelError
+from .groups import (CorrelationSource, build_groups, read_groups,
+                     singleton_groups, write_groups)
 from .oracle import lfocv_curve, map_levels_to_steps, refit_predictive_all
-from .specfile import SpecError, load_data, load_model, write_data
+from .specfile import load_model, write_data
 
 STATE_VERSION = 2
 STATE_FILE = "fitted_state.json"
@@ -31,8 +28,8 @@ class CliError(RuntimeError):
     pass
 
 
-USER_ERRORS = (CliError, SpecError, ModelError, ComponentError, LikelihoodError,
-               GroupingError, ModeFindingError, FactorizationError,
+# ValueError covers the library's input errors (SpecError, GroupingError, ...)
+USER_ERRORS = (CliError, ModeFindingError, FactorizationError,
                ValueError, OSError, IndexError)
 
 
@@ -209,16 +206,8 @@ def cmd_cv(args):
     return 0
 
 
-def _simulate_multilevel(args, outdir):
-    name = args.scenario
-    data = sim.scenario_data(name, args.seed)
-    model = sim.scenario_model(name, data)
-    write_data(os.path.join(outdir, "data.csv"), data)
-    with open(os.path.join(outdir, "model.spec"), "w") as fh:
-        fh.write(sim.scenario_spec_text(name))
-
-    grid = build_theta_grid(model, args.theta_grid_step)
-    gas = fit_grid_approximations(model, grid)
+def _simulate_multilevel(args, model, grid, gas):
+    name, outdir = args.scenario, args.out
     spec = build_groups(CorrelationSource("posterior"),
                         _mode_fit(model, grid, gas), m=args.m, tie_tol=args.tie_tol)
     result = compute_lgocv(model, grid, spec, gas=gas, gh_order=args.gh_order)
@@ -238,16 +227,8 @@ def _simulate_multilevel(args, outdir):
     return 0
 
 
-def _simulate_ar1(args, outdir):
-    data = sim.scenario_data("ar1-forecast", args.seed)
-    model = sim.scenario_model("ar1-forecast", data)
-    write_data(os.path.join(outdir, "data.csv"), data)
-    with open(os.path.join(outdir, "model.spec"), "w") as fh:
-        fh.write(sim.scenario_spec_text("ar1-forecast"))
-
+def _simulate_ar1(args, model, grid, gas):
     test = list(range(model.n_obs - 500, model.n_obs))
-    grid = build_theta_grid(model, args.theta_grid_step)
-    gas = fit_grid_approximations(model, grid)
     ga = _mode_fit(model, grid, gas)
 
     ks = list(range(1, 11))
@@ -262,11 +243,11 @@ def _simulate_ar1(args, outdir):
         lgocv_u.append(res.utility)
 
     mapped = map_levels_to_steps(ks, [lfocv_u[k] for k in ks], lgocv_u)
-    with open(os.path.join(outdir, "lfocv.csv"), "w") as fh:
+    with open(os.path.join(args.out, "lfocv.csv"), "w") as fh:
         fh.write("steps_ahead,utility\n")
         for k in ks:
             fh.write(f"{k},{float(lfocv_u[k])!r}\n")
-    with open(os.path.join(outdir, "correspondence.csv"), "w") as fh:
+    with open(os.path.join(args.out, "correspondence.csv"), "w") as fh:
         fh.write("level_sets,lgocv_utility,mapped_steps_ahead\n")
         for m, u, s in zip(ks, lgocv_u, mapped):
             fh.write(f"{m},{float(u)!r},{float(s)!r}\n")
@@ -276,13 +257,20 @@ def _simulate_ar1(args, outdir):
 
 
 def cmd_simulate(args):
-    if args.scenario not in sim.SCENARIOS:
-        raise CliError(f"unknown scenario {args.scenario!r}; "
+    name = args.scenario
+    if name not in sim.SCENARIOS:
+        raise CliError(f"unknown scenario {name!r}; "
                        f"choose from {', '.join(sim.SCENARIOS)}")
     os.makedirs(args.out, exist_ok=True)
-    if args.scenario == "ar1-forecast":
-        return _simulate_ar1(args, args.out)
-    return _simulate_multilevel(args, args.out)
+    data = sim.scenario_data(name, args.seed)
+    model = sim.scenario_model(name, data)
+    write_data(os.path.join(args.out, "data.csv"), data)
+    with open(os.path.join(args.out, "model.spec"), "w") as fh:
+        fh.write(sim.scenario_spec_text(name))
+    grid = build_theta_grid(model, args.theta_grid_step)
+    gas = fit_grid_approximations(model, grid)
+    run = _simulate_ar1 if name == "ar1-forecast" else _simulate_multilevel
+    return run(args, model, grid, gas)
 
 
 def cmd_verify(args):

@@ -299,6 +299,9 @@ class Besag(_IntrinsicStructure):
         rows = np.repeat(np.arange(s), degree)
         cols = np.array([j for nbrs in self.adjacency for j in nbrs], dtype=int)
         R = sp.csc_matrix((np.full(rows.size, -1.0), (rows, cols)), shape=(s, s))
+        if np.any(rows == cols) or (R - R.T).count_nonzero():
+            raise ComponentError(f"besag {self.name}: neighbours must be mutual "
+                                 "and exclude the node itself")
         return (R + sp.diags(np.array(degree, dtype=float))).tocsc()
 
     def constraint_rows(self):

@@ -7,7 +7,7 @@ per-theta kriging workspace precomputed on the GaussianApprox.  Solves run
 in slabs of ``slab_width(p)`` right-hand sides, ``SLAB_BYTES`` of them but
 no fewer than ``SLAB_MIN``, and each slab is reduced to its columns of Sigma
 before the next.
-A fit keeps the slabs of overlapping calls (see ``eta_covariance``).
+A fit keeps its last call's member columns (see ``eta_covariance``).
 """
 
 from __future__ import annotations
@@ -72,10 +72,10 @@ def eta_covariance(ga, I):
     reads off the slab's columns Sigma_IJ = A_I X.  No latent-size block of
     all |I| columns is formed within a call.  The result is symmetrized
     against solver roundoff.  Once a call overlaps the previous one on the
-    same fit, as an m-sweep's unions do, the fit keeps its slabs and the next
-    call solves only the members they lack; a sweep so holds up to p x |I|
-    floats plus one slab between calls.  Columns do not depend on their
-    slab-mates, so kept and fresh ones are the same bits.
+    same fit, as an m-sweep's unions do, the fit keeps the columns of its
+    members alone and the next call solves only the members they lack; a
+    sweep so holds at most p x |I| floats between calls.  Columns do not
+    depend on their slab-mates, so kept and fresh ones are the same bits.
     """
     I = np.asarray(I, dtype=int)
     if I.size == 0:
@@ -91,23 +91,22 @@ def eta_covariance(ga, I):
     order = np.argsort(I)
     sigma = np.empty((I.size, I.size))
     done = np.zeros(I.size, dtype=bool)
-    slabs = []                  # (member of each column or -1, constrained X)
+    slabs = []                  # (member of each column, constrained X)
     for M, X in kept:
         k = order[np.minimum(np.searchsorted(I[order], M), I.size - 1)]
         hit = I[k] == M
         if hit.any():
-            sigma[:, k[hit]] = AI @ (X if hit.all() else X[:, hit])
-            done[k[hit]] = True
-            slabs.append((np.where(hit, M, -1), X))
+            if not hit.all():
+                M, X, k = M[hit], X[:, hit], k[hit]
+            sigma[:, k] = AI @ X
+            done[k] = True
+            slabs.append((M, X))
     fresh = np.flatnonzero(~done)
     for J, AJ in row_slabs(AI if fresh.size == I.size else AI[fresh]):
         X = ga.constrain(ga.solve(AJ.T.toarray()))
         sigma[:, fresh[J]] = AI @ X
         if keep:
             slabs.append((I[fresh[J]], X))
-    if sum((M < 0).sum() for M, _ in slabs) > slab_width(AI.shape[1]):
-        slabs = [(M, X) if M.min() >= 0 else (M[M >= 0], X[:, M >= 0])
-                 for M, X in slabs]
     ga.__dict__["_eta_columns"] = (members, slabs)
     sigma = 0.5 * (sigma + sigma.T)
     return EtaMoments(I, AI @ ga.mu, sigma, fresh.size)

@@ -204,14 +204,12 @@ def _selected_variances(lu, A):
 
 
 def _selected_components(model, subset):
-    comps = [c for c in model.components if subset is None or c.name in subset]
-    if not comps:
-        raise GroupingError(f"prior subset matches no components: {subset}")
-    if subset is not None:
-        bad = set(subset) - {c.name for c in model.components}
-        if bad:
-            raise GroupingError(f"unknown components in prior subset: {sorted(bad)}")
-    return comps
+    if subset is None:
+        return model.components
+    bad = set(subset) - {c.name for c in model.components}
+    if bad:
+        raise GroupingError(f"unknown components in prior subset: {sorted(bad)}")
+    return [c for c in model.components if c.name in subset]
 
 
 def _restrict_constraints(model, cols):
@@ -248,7 +246,7 @@ def _make_engine(source, ga):
     lu, _ = _splu(sp.bmat([[P_sel, N], [N.T, None]], format="csc") if k else P_sel)
 
     def solve(rhs):
-        if k:
+        if k:       # bordered only when intrinsic: the vstack copies each RHS slab
             rhs = np.vstack([rhs, np.zeros((k, rhs.shape[1]))])
         return lu.solve(rhs)[:p]
 

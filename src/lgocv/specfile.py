@@ -100,8 +100,8 @@ def _index_column(data, sec, name, size):
     if not np.all(np.isfinite(raw) & (raw == np.round(raw))):
         raise SpecError(f"component {name}: index column must hold integers")
     idx = raw.astype(int)
-    inferred = int(idx.max()) + 1
-    size = int(sec.get("size", inferred))
+    if size is None:
+        size = int(sec.get("size", idx.max() + 1))
     if idx.min() < 0 or idx.max() >= size:
         raise SpecError(f"component {name}: index outside [0, {size})")
     return idx, size
@@ -137,8 +137,7 @@ def _build_component(name, sec, data, graph_path=None):
         adjacency = comp.read_graph(gpath)
         block = comp.Besag(name, tuple(adjacency),
                            log_prec=_linked(sec.get("precision", "1.0")))
-        idx, _ = _index_column(data, {**sec, "size": str(block.size)},
-                               name, block.size)
+        idx, _ = _index_column(data, sec, name, block.size)
     else:
         idx, size = _index_column(data, sec, name, None)
         prec = _linked(sec.get("precision", "1.0"))

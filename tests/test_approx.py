@@ -382,7 +382,7 @@ def test_hessian_equals_the_scipy_expression(name, zeros):
 
 def _plan_csc(plan, data):
     """Q as a CSC matrix, from its values on the plan's pattern."""
-    p = plan.terms.p
+    p = plan.p
     return sp.csc_matrix((data, plan.indices, plan.indptr), shape=(p, p))
 
 
@@ -427,7 +427,7 @@ def test_hessian_stores_zeros_on_the_fixed_pattern():
     plan = approx._fit_plan(model)
     Q = _plan_csc(plan, plan.hessian(c, plan.scatter(P)))
     _assert_scipy_values_on_the_plan_pattern(Q, plan, P, A, c)
-    assert Q.nnz == plan.codes.size
+    assert Q.nnz == plan.indices.size
     col = slice(Q.indptr[5], Q.indptr[6])
     assert Q.data[col][Q.indices[col] == j] == 0.0              # cancelled
     assert Q.indptr[4] > Q.indptr[3]                            # latent 3 is
@@ -516,7 +516,7 @@ def test_lu_of_a_zero_bearing_q_equals_a_fresh_splu():
     c[model.design[:, 3].nonzero()[0]] = 0.0     # no curvature reaches latent 3
     data = plan.hessian(c, p_data)
     Q = _plan_csc(plan, data)
-    assert Q.nnz == plan.codes.size > np.count_nonzero(Q.data)
+    assert Q.nnz == plan.indices.size > np.count_nonzero(Q.data)
     solve, pivots = plan.factorize(data)
     lu = spla.splu(Q)
     assert plan.ordering is ordering

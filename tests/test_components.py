@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from lgocv.approx import find_mode
 from lgocv.components import (Ar1, Besag, ComponentError, FixedEffects, Iid,
                               Rw1, Rw2, read_graph, _connected_blocks)
+from lgocv.likelihoods import Poisson
+from lgocv.model import LgmModel
 
 
 def dense(P):
@@ -67,6 +70,19 @@ def test_besag_structure_stores_degrees_and_neighbours_only(adj):
     assert R.format == "csc" and R.has_canonical_format
     assert np.array_equal(dense(R), want)
     assert R.nnz == np.count_nonzero(want)
+
+
+@pytest.mark.parametrize("adj", [[{1}, set(), {1}], [{0, 1}, {0}]],
+                         ids=["one-way-edge", "self-loop"])
+def test_besag_refuses_a_graph_that_is_not_icar(adj):
+    """Neighbours must be mutual and exclude the node itself; the check runs
+    when the fit first reads the structure, not when the block is built."""
+    n = len(adj)
+    model = LgmModel([FixedEffects("intercept", 1), Besag("sp", adj)],
+                     sp.hstack([np.ones((n, 1)), sp.identity(n)], format="csr"),
+                     Poisson(), np.ones(n))
+    with pytest.raises(ComponentError, match="neighbours must be mutual"):
+        find_mode(model, model.hyper_point(np.zeros(0)))
 
 
 def test_intrinsic_logdet_matches_pseudo_det():

@@ -642,7 +642,7 @@ def test_warm_columns_equal_a_cold_solve(case, width, monkeypatch):
     """eta_covariance on a fit that kept columns from earlier overlapping
     calls is bitwise what a fresh fit gives: the same set unsorted, a
     subset, a superset spanning several kept slabs, a disjoint set, and
-    sets reusing compacted slabs."""
+    sets reusing columns kept from partly used slabs."""
     make = SLAB_CASES[case][0]
     warm = fitted(make())
     p = warm.model.latent_size
@@ -664,7 +664,7 @@ def kept_bytes(ga):
     return sum(X.nbytes for _, X in ga.__dict__["_eta_columns"][1])
 
 
-def test_kept_columns_stay_within_the_last_call_and_one_slab(monkeypatch):
+def test_kept_columns_are_members_of_the_last_call(monkeypatch):
     model = ar1_scenario(200)
     p = model.latent_size
     ga = fitted(model)
@@ -682,7 +682,10 @@ def test_kept_columns_stay_within_the_last_call_and_one_slab(monkeypatch):
     for _ in range(12):                          # members come and go
         I = rng.choice(pool, size=30, replace=False)
         eta_covariance(ga, I)
-        assert 0 < kept_bytes(ga) <= 8 * p * (I.size + 5)
+        members, slabs = ga.__dict__["_eta_columns"]
+        assert members == frozenset(I.tolist())
+        assert all(M.size == X.shape[1] and np.isin(M, I).all() for M, X in slabs)
+        assert 0 < kept_bytes(ga) <= 8 * p * I.size
 
 
 def test_group_io_round_trip(tmp_path):
@@ -725,7 +728,7 @@ def test_invalid_arguments():
         build_groups(POSTERIOR, ga, m=0)
     with pytest.raises(GroupingError):
         CorrelationSource("bogus")
-    with pytest.raises(GroupingError):
+    with pytest.raises(GroupingError, match="unknown components"):
         build_groups(CorrelationSource("prior", ("nope",)), ga, m=1)
     for i in (99, 4, -1):
         with pytest.raises(IndexError):
