@@ -2,8 +2,10 @@
 
 Newton iteration finds the mode of pi(f | theta, y); linear constraints are
 enforced at every step by conditioning by kriging (solve unconstrained, then
-project).  The factorized posterior precision and the kriging workspace are
-kept on the returned state and reused by all downstream covariance work.
+project), which one ``Kriging`` object does for the fit, the evidence and
+the prior correlation engine.  The factorized posterior precision and its
+``Kriging`` are kept on the returned state and reused by all downstream
+covariance work.
 
 A model's graph is fixed: P keeps the model's prior pattern and Q = P +
 A' diag(c) A the pattern of its fit plan, exact zeros stored as values.  So
@@ -18,7 +20,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 import itertools
 import logging
 from typing import NamedTuple
@@ -162,21 +163,18 @@ class _Linearization(NamedTuple):
     pivots: np.ndarray          # diagonal of U, None at a Newton step
     mu_unc: np.ndarray          # Q^{-1} A' b
     mu: np.ndarray              # mu_unc kriged onto the constraints
-    constraint_w: object        # Q^{-1} C', or None without constraints
-    constraint_gram: object     # C Q^{-1} C'
-    constraint_cho: object      # Cholesky factor of the Gram
+    kriging: object             # Kriging(C, Q^{-1} C'), or None without constraints
 
 
 class GaussianApprox:
     """Fitted Gaussian approximation pi_G(f | theta, y) at one theta.
 
     Holds the constrained mode ``mu``, the factorized posterior precision
-    Q_f = P_f + A' C A, the linearization (b, c) at the mode, and the
-    precomputed constraint solves shared by every group.  ``solve`` (x ->
-    Q_f^-1 x) and ``constrain`` (``kriging`` onto the constraints, built on
-    first use) are closures that hold no reference to the fit, for one or
-    many right-hand sides.  ``n_iter`` and ``n_lu`` count the Newton
-    iterations and sparse LU factorizations of the fit.  Fields are
+    Q_f = P_f + A' C A and the linearization (b, c) at the mode.  ``solve``
+    (x -> Q_f^-1 x) and ``constrain`` (the fit's ``Kriging`` onto the
+    constraints, or the identity without them) hold no reference to the
+    fit, for one or many right-hand sides.  ``n_iter`` and ``n_lu`` count
+    the Newton iterations and sparse LU factorizations of the fit.  Fields are
     immutable once published; the columns ``eta_covariance`` keeps on a fit
     are bitwise a fresh solve's, so concurrent use is safe.
     """
@@ -194,36 +192,41 @@ class GaussianApprox:
         self.n_lu = n_lu
         self.solve = lin.solve
         self.log_det_q = float(np.sum(np.log(np.abs(lin.pivots))))
-        self.constraint_w = lin.constraint_w
-        self.constraint_gram = lin.constraint_gram
-        self.constraint_cho = lin.constraint_cho
-
-    @cached_property
-    def constrain(self):
-        C = self.model.constraints
-        return kriging(C[0] if C else None, self.constraint_w, self.constraint_cho)
+        self.constrain = lin.kriging or (lambda x: x)
 
 
-def kriging(C, W, cho):
-    """x -> x - W (C W)^-1 C x for ``cho`` the factor of C W, or x -> x.
+class Kriging:
+    """Conditioning by kriging onto C x = e, for a dense C and W = K^-1 C'.
 
-    C x is a sparse product, and W z is taken off one constraint at a time
-    as an outer product.  Both work on each column alone in a fixed order,
-    so a column's correction does not depend on the columns solved with it;
-    BLAS picks its kernel by the number of columns.  Returns a new C-ordered
-    array.
+    Holds W, the Gram C W and its Cholesky factor ``cho``.  A call maps
+    x -> x - W (C W)^-1 C x: C x is a sparse product (C made CSR on the
+    first call), and W z is taken off one constraint at a time as an outer
+    product.  Both work on each column alone in a fixed order, so a
+    column's correction does not depend on the columns solved with it; BLAS
+    picks its kernel by the number of columns.  Returns a new C-ordered
+    array.  ``log_density`` is the Gaussian density of C x - e.
     """
-    if cho is None:
-        return lambda x: x
-    C = sp.csr_matrix(C)
 
-    def krige(x):
+    def __init__(self, C, W):
+        self.C, self.W = C, W
+        self.gram = C @ W
+        self.cho = cho_factor(self.gram)
+        self._csr = None
+
+    def __call__(self, x):
+        if self._csr is None:
+            self._csr = sp.csr_matrix(self.C)
         x = np.array(x, order="C")
-        for w, zl in zip(W.T, cho_solve(cho, C @ x)):
+        for w, zl in zip(self.W.T, cho_solve(self.cho, self._csr @ x)):
             x -= np.multiply.outer(w, zl)
         return x
 
-    return krige
+    def log_density(self, r):
+        """log N(r; 0, C W) of a constraint residual r."""
+        sign, ld = np.linalg.slogdet(self.gram)
+        if sign <= 0:
+            raise FactorizationError("constraint Gram matrix not positive definite")
+        return -0.5 * (r.size * np.log(2 * np.pi) + ld + r @ cho_solve(self.cho, r))
 
 
 def _feasible_start(model):
@@ -247,13 +250,11 @@ def _linearize(plan, p_data, At, C_e, eta, g1, g2, final=False):
     solve, pivots = plan.factorize(plan.hessian(c, p_data), final)
     mu_unc = solve(At @ b) if final else _finite(solve(At @ b))
     if C_e is None:
-        return _Linearization(c, b, solve, pivots, mu_unc, mu_unc, None, None, None)
+        return _Linearization(c, b, solve, pivots, mu_unc, mu_unc, None)
     C, e = C_e
-    W = solve(C.T)
-    gram = C @ W
-    cho = cho_factor(gram)
-    mu = mu_unc - W @ cho_solve(cho, C @ mu_unc - e)
-    return _Linearization(c, b, solve, pivots, mu_unc, mu, W, gram, cho)
+    kr = Kriging(C, solve(C.T))
+    mu = mu_unc - kr.W @ cho_solve(kr.cho, C @ mu_unc - e)
+    return _Linearization(c, b, solve, pivots, mu_unc, mu, kr)
 
 
 def find_mode(model, theta, init=None):
@@ -305,11 +306,6 @@ def find_mode(model, theta, init=None):
                            f"iterations (theta={np.asarray(theta.values)})")
 
 
-def _log_gauss(x, mean, gram_cho, logdet, dim):
-    r = x - mean
-    return -0.5 * (dim * np.log(2 * np.pi) + logdet + r @ cho_solve(gram_cho, r))
-
-
 def log_evidence(model, ga):
     """Laplace approximation of log pi(y | theta), up to a theta-free constant.
 
@@ -336,20 +332,12 @@ def log_evidence(model, ga):
     corr = 0.0
     if model.constraints is not None:
         C, e = model.constraints
-        k = C.shape[0]
-        sign, ld = np.linalg.slogdet(ga.constraint_gram)
-        if sign <= 0:
-            raise FactorizationError("constraint Gram matrix not positive definite")
         # posterior: subtract log N(e; C mu_unc, C Q^{-1} C')
-        corr += _log_gauss(e, C @ ga.mu_unc, ga.constraint_cho, ld, k)
+        corr += ga.constrain.log_density(e - C @ ga.mu_unc)
         if not model.has_intrinsic:
             # prior: subtract log N(e; 0, C P^{-1} C')
             lu_p, _ = _splu(ga.P)
-            gram_p = C @ lu_p.solve(C.T)
-            sign_p, ld_p = np.linalg.slogdet(gram_p)
-            if sign_p <= 0:
-                raise FactorizationError("prior constraint Gram not positive definite")
-            log_prior -= _log_gauss(e, np.zeros(k), cho_factor(gram_p), ld_p, k)
+            log_prior -= Kriging(C, lu_p.solve(C.T)).log_density(e)
 
     return float(log_prior + log_lik - (log_post - corr))
 

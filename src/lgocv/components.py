@@ -84,6 +84,11 @@ class FixedEffects(_Block):
     kind = "fixed"
     intrinsic = False
 
+    def __post_init__(self):
+        if not 0 < self.prec < np.inf:
+            raise ComponentError(f"component {self.name}: precision must be "
+                                 "finite and positive")
+
     def precision_values(self, hyper):
         return self._pattern.data, self.prec
 

@@ -2,8 +2,8 @@
 
 The posterior covariance of eta_I is never assembled for all observations:
 each requested column comes from a sparse solve against the factorized
-posterior precision, with the constraint correction applied through the
-per-theta kriging workspace precomputed on the GaussianApprox.  Solves run
+posterior precision, with the constraint correction applied by the fit's
+``Kriging`` (``GaussianApprox.constrain``).  Solves run
 in slabs of ``slab_width(p)`` right-hand sides, ``SLAB_BYTES`` of them but
 no fewer than ``SLAB_MIN``, and each slab is reduced to its columns of Sigma
 before the next.

@@ -8,15 +8,17 @@ the unselected effects).  One sparse engine serves both; an intrinsic P is
 bordered with a basis of its null space, which gives P^+ without forming
 it.  No dense covariance or full correlation matrix is formed: the rows
 come from solves in slabs of ``covariance.slab_width`` columns, each
-reduced as soon as it is solved.  The marginal variances of a prior engine
-come from a selected inversion of its LU (Takahashi recursions) when
-SuperLU pivoted on the diagonal and the factor's pattern holds every pair
-of effects a design row reads; otherwise, and for the posterior, from
-solving every unit column in slabs.  Rows come in blocks of at most
-``RHS_BATCH`` observations, written slab by slab into the block, and only
-the top-m level sets of each row are located.  An engine keeps its last
-block and each row's descending order, so a sweep over m on the same rows
-solves and sorts them once.
+reduced as soon as it is solved.  Constraints are kriged by the fit's
+``Kriging`` (posterior) or by one built on the prior solve.  The marginal
+variances of a prior engine come from a selected inversion of the
+symmetric factor L D L' that its LU is when SuperLU pivoted on the
+diagonal (Takahashi recursions on L and the pivots), if L's pattern holds
+every pair of effects a design row reads; otherwise, and for the
+posterior, from solving every unit column in slabs.  Rows come in blocks
+of at most ``RHS_BATCH`` observations, written slab by slab into the
+block, and only the top-m level sets of each row are located.  An engine
+keeps its last block and each row's descending order, so a sweep over m on
+the same rows solves and sorts them once.
 """
 
 from __future__ import annotations
@@ -26,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
 
-from .approx import _pairs, _splu, kriging
+from .approx import Kriging, _pairs, _splu
 from .covariance import RHS_BATCH, _quad, row_slabs
 
 log = logging.getLogger(__name__)
@@ -135,69 +137,60 @@ class _SparseCorrEngine:
         return self._last[2]
 
 
-def _selected_variances(lu, A):
+def _selected_variances(lu, d, A):
     """diag(A K^-1 A') from the factor L U = Pi K Pi' alone, or None.
 
-    A selected inversion (Erisman & Tinney 1975): with U = D U~, Z = (L U)^-1
-    on the pattern of L + U comes column by column from the last, k over the
-    below-diagonal entries of column j,
+    A selected inversion (Takahashi recursions; Erisman & Tinney 1975): K
+    is symmetric, so with pivots on the diagonal (perm_r == perm_c) U = D L'
+    for D = diag(d), ``_splu``'s pivots, and Z = (L D L')^-1 on the pattern
+    of L comes column by column from the last, k over the below-diagonal
+    entries of column j,
 
-        Z_ij = -sum_k Z_ik L_kj,  Z_ji = -sum_k U~_jk Z_ki   (i > j),
-        Z_jj = 1/d_j - sum_k U~_jk Z_kj.
+        Z_ij = -sum_k Z_ik L_kj  (i > j),   Z_jj = 1/d_j - sum_k L_kj Z_kj.
 
-    Needs pivots on the diagonal (perm_r == perm_c) and every pair a column
-    or a row of A (K's first columns) reads inside the pattern; None when
-    SuperLU pivoted off it or a pair falls outside.
+    Needs every pair a column of L or a row of A (K's first columns) reads
+    inside L's pattern; None when SuperLU pivoted off the diagonal or a
+    pair falls outside.
     """
     perm = lu.perm_c
     if not np.array_equal(lu.perm_r, perm):
         return None
-    L, U = lu.L.tocoo(), lu.U.tocoo()
+    L = lu.L.tocoo()
     N = perm.size
-    d = U.diagonal()
-    # the strictly lower pattern of L + U', column-major; L_ij at l, U~_ji at u
-    below, above = L.row > L.col, U.col > U.row
-    lkey = L.col[below].astype(np.int64) * N + L.row[below]
-    ukey = U.row[above].astype(np.int64) * N + U.col[above]
-    keys = np.union1d(lkey, ukey)
-    E = keys.size
-    l, u = np.zeros(E), np.zeros(E)
-    l[np.searchsorted(keys, lkey)] = L.data[below]
-    u[np.searchsorted(keys, ukey)] = U.data[above] / d[U.row[above]]
+    below = L.row > L.col
+    keys, at = np.unique(L.col[below].astype(np.int64) * N + L.row[below],
+                         return_index=True)
+    l = L.data[below][at]
     col, row = np.divmod(keys, N)
     ptr = np.searchsorted(col, np.arange(N + 1))
     keys = np.append(keys, N * N)       # a sentinel past every key
 
     def locate(i, j):
-        """Slots of Z_ij in z = [diagonal | lower entries | upper entries]."""
+        """Slots of Z_ij = Z_ji in z = [diagonal | lower entries]."""
         key = np.minimum(i, j) * N + np.maximum(i, j)
         e = np.searchsorted(keys, key)
-        inside = (i == j) | (keys[e] == key)
-        return np.where(i == j, i, N + e + E * (i < j)), inside.all()
+        return np.where(i == j, i, N + e), ((i == j) | (keys[e] == key)).all()
 
     _, a, b = _pairs(ptr)
     zp, inside = locate(row[a], row[b])
-    zt, _ = locate(row[b], row[a])
     A = sp.csr_matrix(A)
     obs, a, b = _pairs(A.indptr)
     zq, covered = locate(perm[A.indices[a]], perm[A.indices[b]])
     if not (inside and covered):
         return None
     starts = np.concatenate(([0], np.cumsum(np.diff(ptr) ** 2)))   # column j's pairs
-    z = [0.0] * (N + 2 * E)
-    zp, zt, ptr, starts, l, u, d = (x.tolist() for x in (zp, zt, ptr, starts, l, u, d))
-    NE = N + E
+    z = [0.0] * (N + l.size)
+    zp, ptr, starts, l, d = (x.tolist() for x in (zp, ptr, starts, l, d))
     for j in range(N - 1, -1, -1):
         e0, e1, q = ptr[j], ptr[j + 1], starts[j]
         zjj = 1.0 / d[j]
         for i in range(e0, e1):
-            lower = upper = 0.0
+            zij = 0.0
             for k in range(e0, e1):
-                lower -= z[zp[q]] * l[k]        # Z_{r_i r_k} L_{r_k j}
-                upper -= u[k] * z[zt[q]]        # U~_{j r_k} Z_{r_k r_i}
+                zij -= z[zp[q]] * l[k]          # Z_{r_i r_k} L_{r_k j}
                 q += 1
-            z[N + i], z[NE + i] = lower, upper
-            zjj -= u[i] * lower
+            z[N + i] = zij
+            zjj -= l[i] * zij
         z[j] = zjj
     z = np.array(z)
     return np.bincount(obs, weights=A.data[a] * A.data[b] * z[zq], minlength=A.shape[0])
@@ -243,7 +236,7 @@ def _make_engine(source, ga):
     N = sp.block_diag([c.null_basis() if c.intrinsic else np.zeros((c.size, 0))
                        for c in comps], format="csc")
     p, k = N.shape
-    lu, _ = _splu(sp.bmat([[P_sel, N], [N.T, None]], format="csc") if k else P_sel)
+    lu, d = _splu(sp.bmat([[P_sel, N], [N.T, None]], format="csc") if k else P_sel)
 
     def solve(rhs):
         if k:       # bordered only when intrinsic: the vstack copies each RHS slab
@@ -255,23 +248,22 @@ def _make_engine(source, ga):
     C = _restrict_constraints(model, cols)
     W = solve(C.T)
     keep = np.einsum("ij,ji->i", C, W) > _ROUNDOFF * max(np.abs(W).max(initial=0.0), 1.0)
-    C, W = C[keep], W[:, keep]
-    cho = cho_factor(C @ W) if keep.any() else None
-    return _SparseCorrEngine(A_sel, solve, kriging(C, W, cho),
-                             _prior_variances(lu, A_sel, W, cho))
+    kr = Kriging(C[keep], W[:, keep]) if keep.any() else None
+    return _SparseCorrEngine(A_sel, solve, kr or (lambda x: x),
+                             _prior_variances(lu, d, A_sel, kr))
 
 
-def _prior_variances(lu, A, W, cho):
+def _prior_variances(lu, d, A, kriging):
     """(free, var): diag(A Sigma A') by selected inversion, and with the
-    constraints var_i = free_i - (a_i W) (C W)^-1 (a_i W)'; None where the
+    ``Kriging`` var_i = free_i - (a_i W) (C W)^-1 (a_i W)'; None where the
     factor does not serve (see ``_selected_variances``)."""
-    free = _selected_variances(lu, A)
+    free = _selected_variances(lu, d, A)
     if free is None:
         return None
-    if cho is None:
+    if kriging is None:
         return free, free
-    AW = A @ W
-    return free, free - np.einsum("ij,ji->i", AW, cho_solve(cho, AW.T))
+    AW = A @ kriging.W
+    return free, free - np.einsum("ij,ji->i", AW, cho_solve(kriging.cho, AW.T))
 
 
 def _engine_for(source, ga):
@@ -376,6 +368,8 @@ def read_groups(path, n_obs):
                 raise GroupingError(f"{path}:{lineno}: group member out of range")
             if i not in members:
                 raise GroupingError(f"{path}:{lineno}: group must contain its own index")
+            if i in groups:
+                raise GroupingError(f"{path}:{lineno}: test index {i + 1} listed twice")
             groups[i] = members
     if not groups:
         raise GroupingError(f"{path}: no groups found")

@@ -51,7 +51,10 @@ class Gaussian:
     kind = "gaussian"
 
     def validate(self, y):
-        """Every finite response is in the support."""
+        """Every finite response is in the support; a fixed precision must be
+        finite and positive."""
+        if not isinstance(self.precision, str) and not 0 < self.precision < np.inf:
+            raise LikelihoodError("gaussian precision must be finite and positive")
 
     def _prec(self, hyper):
         if isinstance(self.precision, str):

@@ -36,6 +36,11 @@ class HyperSpec:
     init: float = 0.0
     fixed: float | None = None
 
+    def __post_init__(self):
+        if not 0 < self.prior_prec < np.inf:
+            raise ModelError(f"hyperparameter {self.name}: prior precision must be "
+                             "finite and positive")
+
 
 @dataclass(frozen=True)
 class HyperPoint:

@@ -38,6 +38,9 @@ def load_data(path):
             raise SpecError(f"{path}: empty data file") from None
         header = [h.strip() for h in header]
         cols = {h: [] for h in header}
+        if len(cols) < len(header):
+            twice = next(h for h in header if header.count(h) > 1)
+            raise SpecError(f"{path}: column {twice!r} appears twice in the header")
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not c.strip() for c in row):
                 continue

@@ -436,6 +436,59 @@ def test_cv_nan_index_exits_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def _exits_2_quietly(argv, message, capsys):
+    """``main(argv)`` exits 2 with ``message`` and raises no warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert caught == []
+    assert message in err
+    assert "RuntimeWarning" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", ["-1", "0", "nan", "inf"])
+def test_cv_refuses_a_gaussian_precision_that_is_not_positive(tmp_path, capsys, bad):
+    spec, data = iid_files(tmp_path)
+    Path(spec).write_text(IID_SPEC.replace("precision = 1.0", f"precision = {bad}", 1))
+    _exits_2_quietly(["cv", "--model", spec, "--data", data, "--out", str(tmp_path / "cv")],
+                     "error: gaussian precision must be finite and positive", capsys)
+
+
+@pytest.mark.parametrize("line, bad, message", [
+    ("precision = 1e-4\ninit = 0\n", "precision = -1\ninit = 0\n",
+     "error: hyperparameter lp: prior precision must be finite and positive"),
+    ("covariates = 1\n", "covariates = 1\nprecision = 0\n",
+     "error: component intercept: precision must be finite and positive"),
+], ids=["hyper", "fixed"])
+def test_cv_refuses_a_prior_precision_that_is_not_positive(tmp_path, capsys, line, bad,
+                                                           message):
+    spec, data = class_files(tmp_path)
+    assert CLASS_SPEC.count(line) == 1
+    Path(spec).write_text(CLASS_SPEC.replace(line, bad))
+    _exits_2_quietly(["cv", "--model", spec, "--data", data, "--out", str(tmp_path / "cv")],
+                     message, capsys)
+
+
+def test_cv_refuses_a_test_index_listed_twice(tmp_path, capsys):
+    spec, data = class_files(tmp_path)
+    gpath = tmp_path / "g.txt"
+    gpath.write_text("1: 1 2\n1: 1 3\n")
+    _exits_2_quietly(["cv", "--model", spec, "--data", data, "--groups-in", str(gpath),
+                      "--out", str(tmp_path / "cv")],
+                     f"error: {gpath}:2: test index 1 listed twice", capsys)
+
+
+def test_cv_refuses_a_column_named_twice(tmp_path, capsys):
+    spec, data = class_files(tmp_path)
+    rows = Path(data).read_text().splitlines()
+    Path(data).write_text("\n".join(["y,y,class"] + [r.split(",", 1)[0] + "," + r
+                                                     for r in rows[1:]]) + "\n")
+    _exits_2_quietly(["cv", "--model", spec, "--data", data, "--out", str(tmp_path / "cv")],
+                     f"error: {data}: column 'y' appears twice in the header", capsys)
+
+
 def test_theta_grid_step_with_state_exits_2(tmp_path, capsys):
     spec, data = class_files(tmp_path)
     fitdir = tmp_path / "fit"

@@ -7,14 +7,13 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import cho_factor
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import lgocv.covariance
 import lgocv.groups
-from lgocv.approx import find_mode, kriging
+from lgocv.approx import Kriging, find_mode
 from lgocv.covariance import eta_covariance
 from lgocv.components import Ar1, Besag, FixedEffects, Iid, Rw1, Rw2
 from lgocv.groups import (CorrelationSource, GroupingError, build_groups,
@@ -419,11 +418,11 @@ def test_proper_prior_with_constraint_keeps_its_sparse_path():
     cols = np.arange(1, 21)
     lu = spla.splu(model.prior_precision(ga.theta)[cols][:, cols].tocsc())
     C = model.constraints[0][:, cols]
-    W = lu.solve(C.T)
-    cho = cho_factor(C @ W)
+    kriging = Kriging(C, lu.solve(C.T))
     plain = lgocv.groups._SparseCorrEngine(
-        model.design[:, cols], lu.solve, kriging(C, W, cho),
-        lgocv.groups._prior_variances(lu, model.design[:, cols], W, cho))
+        model.design[:, cols], lu.solve, kriging,
+        lgocv.groups._prior_variances(lu, lu.U.diagonal(), model.design[:, cols],
+                                      kriging))
     idx = np.arange(model.n_obs)
     engine = lgocv.groups._engine_for(source, ga)
     assert engine.variances == plain.variances == "selected"
@@ -501,7 +500,7 @@ def test_pinned_ar1_fails_loudly_on_the_selected_path(monkeypatch):
     served = []
     selected = lgocv.groups._selected_variances
     monkeypatch.setattr(lgocv.groups, "_selected_variances",
-                        lambda lu, A: served.append(selected(lu, A)) or served[-1])
+                        lambda *args: served.append(selected(*args)) or served[-1])
     with pytest.raises(GroupingError, match="zero marginal predictor variance"):
         build_groups(CorrelationSource("prior", ("trend",)), fitted(model), m=1)
     assert len(served) == 1 and served[0] is not None
